@@ -190,16 +190,16 @@ struct SteadyStateFixture {
   }
 };
 
-void BM_SteadyStateReduceUncached(benchmark::State& state) {
+void BM_SteadyStateReducePlain(benchmark::State& state) {
   SteadyStateFixture fx;
   for (auto _ : state) {
     benchmark::DoNotOptimize(fx.ReplayOnce(nullptr));
   }
-  state.SetLabel("pre-PR behavior: full recursive reduction walk per event");
+  state.SetLabel("plain recursive reduction walk per event (no memo)");
 }
-BENCHMARK(BM_SteadyStateReduceUncached);
+BENCHMARK(BM_SteadyStateReducePlain);
 
-void BM_SteadyStateReduceCached(benchmark::State& state) {
+void BM_SteadyStateReduceMemoized(benchmark::State& state) {
   SteadyStateFixture fx;
   ReductionCache cache;
   fx.ReplayOnce(&cache);  // warm: first instance pays the misses
@@ -208,7 +208,7 @@ void BM_SteadyStateReduceCached(benchmark::State& state) {
   }
   state.SetLabel("shard-shared ReductionCache, steady state (all hits)");
 }
-BENCHMARK(BM_SteadyStateReduceCached);
+BENCHMARK(BM_SteadyStateReduceMemoized);
 
 void BM_EvaluateNowRecursive(benchmark::State& state) {
   SteadyStateFixture fx;

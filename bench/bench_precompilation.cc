@@ -237,59 +237,6 @@ void BM_SteadyStateAssimilationCached(benchmark::State& state) {
 }
 BENCHMARK(BM_SteadyStateAssimilationCached);
 
-/// Steady-state scheduler fixture: one shard-like WorkflowContext hosting
-/// many travel instances back to back. With symbolic_caches on, every
-/// instance after the first assimilates announcements via ReductionCache
-/// hits and replays hold-back folds from memoized prefixes — the shape of a
-/// warm engine shard. Off reproduces the pre-PR from-scratch walks.
-struct SteadyStateScheduler {
-  WorkflowContext ctx;
-  ParsedWorkflow workflow;
-  std::vector<EventLiteral> attempts;
-
-  SteadyStateScheduler() {
-    auto parsed = ParseWorkflow(&ctx, bench::kTravelSpec);
-    CDES_CHECK(parsed.ok());
-    workflow = std::move(parsed).value();
-    for (const char* name : {"s_buy", "c_book", "c_buy"}) {
-      attempts.push_back(ctx.alphabet()->ParseLiteral(name).value());
-    }
-  }
-
-  size_t RunInstance(bool symbolic_caches) {
-    Simulator sim;
-    NetworkOptions nopts;
-    Network net(&sim, 2, nopts);
-    GuardSchedulerOptions options;
-    options.symbolic_caches = symbolic_caches;
-    GuardScheduler sched(&ctx, workflow, &net, options);
-    for (EventLiteral lit : attempts) {
-      sched.Attempt(lit, {});
-      sim.Run();
-    }
-    return sched.history().size();
-  }
-};
-
-void BM_SteadyStateInstanceUncached(benchmark::State& state) {
-  SteadyStateScheduler fx;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fx.RunInstance(false));
-  }
-  state.SetLabel("pre-PR: from-scratch reductions and hold-back folds");
-}
-BENCHMARK(BM_SteadyStateInstanceUncached);
-
-void BM_SteadyStateInstanceCached(benchmark::State& state) {
-  SteadyStateScheduler fx;
-  fx.RunInstance(true);  // warm the shard-shared caches
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fx.RunInstance(true));
-  }
-  state.SetLabel("warm shard: memoized reductions + flat evaluation");
-}
-BENCHMARK(BM_SteadyStateInstanceCached);
-
 /// Chrono-measured steady-state comparison exported into
 /// BENCH_precompilation.json for CI diffing (same pattern as bench_ex9).
 void RecordSteadyStateGauges() {
@@ -323,34 +270,6 @@ void RecordSteadyStateGauges() {
     std::printf(
         "steady-state assimilation (pipeline/8): %.0f ns uncached, %.0f ns "
         "cached  =>  %.1fx\n",
-        uncached_ns, cached_ns, uncached_ns / cached_ns);
-  }
-  {
-    SteadyStateScheduler fx;
-    const int kRounds = 3000;
-    auto t0 = Clock::now();
-    for (int i = 0; i < kRounds; ++i) {
-      benchmark::DoNotOptimize(fx.RunInstance(false));
-    }
-    auto t1 = Clock::now();
-    fx.RunInstance(true);  // warm
-    auto t2 = Clock::now();
-    for (int i = 0; i < kRounds; ++i) {
-      benchmark::DoNotOptimize(fx.RunInstance(true));
-    }
-    auto t3 = Clock::now();
-    double uncached_ns =
-        std::chrono::duration<double, std::nano>(t1 - t0).count() / kRounds;
-    double cached_ns =
-        std::chrono::duration<double, std::nano>(t3 - t2).count() / kRounds;
-    m.gauge("precompilation.steady_state_instance_uncached_ns")
-        ->Set(uncached_ns);
-    m.gauge("precompilation.steady_state_instance_cached_ns")->Set(cached_ns);
-    m.gauge("precompilation.steady_state_instance_speedup")
-        ->Set(cached_ns > 0 ? uncached_ns / cached_ns : 0);
-    std::printf(
-        "steady-state instance: %.0f ns uncached, %.0f ns cached  =>  %.2fx "
-        "(full scheduler turn incl. simulated messaging)\n",
         uncached_ns, cached_ns, uncached_ns / cached_ns);
   }
 }

@@ -43,9 +43,7 @@ class ModelChecker {
         workflow_(workflow),
         compiled_(compiled),
         options_(options),
-        space_(ctx, compiled, options.symbolic_caches),
-        cache_(options.symbolic_caches ? ctx->reduction_cache() : nullptr),
-        flat_(options.symbolic_caches ? ctx->flat_evaluator() : nullptr) {}
+        space_(ctx, compiled) {}
 
   CheckResult Run() {
     auto start = std::chrono::steady_clock::now();
@@ -144,7 +142,8 @@ class ModelChecker {
           const Guard* after = ReduceGuard(
               ctx_->guards(), ctx_->residuator(),
               ctx_->guards()->And(s.commitment, commit),
-              Announcement{AnnouncementKind::kOccurred, lit}, cache_);
+              Announcement{AnnouncementKind::kOccurred, lit},
+              ctx_->reduction_cache());
           alive = !after->IsFalse();
         }
         cands.push_back({lit, permitted, alive});
@@ -340,10 +339,9 @@ class ModelChecker {
       for (EventLiteral step : u) {
         g = ReduceGuard(ctx_->guards(), ctx_->residuator(), g,
                         Announcement{AnnouncementKind::kOccurred, step},
-                        cache_);
+                        ctx_->reduction_cache());
       }
-      const Guard* commit = flat_ != nullptr ? flat_->Commit(ctx_->guards(), g)
-                                             : CommitNow(ctx_->guards(), g);
+      const Guard* commit = ctx_->flat_evaluator()->Commit(ctx_->guards(), g);
       if (commit->IsFalse()) return static_cast<int>(dep);
     }
     return -1;
@@ -425,8 +423,6 @@ class ModelChecker {
   const CompiledWorkflow& compiled_;
   const ModelCheckOptions& options_;
   StateSpace space_;
-  ReductionCache* cache_ = nullptr;  // null ⇔ options_.symbolic_caches off
-  FlatEvaluator* flat_ = nullptr;
 
   std::unordered_map<CheckState, uint32_t, CheckStateHash> ids_;
   std::vector<StateRecord> records_;

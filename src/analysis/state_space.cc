@@ -27,11 +27,8 @@ size_t CheckStateHash::operator()(const CheckState& s) const {
   return h;
 }
 
-StateSpace::StateSpace(WorkflowContext* ctx, const CompiledWorkflow& compiled,
-                       bool symbolic_caches)
-    : ctx_(ctx), compiled_(compiled),
-      cache_(symbolic_caches ? ctx->reduction_cache() : nullptr),
-      flat_(symbolic_caches ? ctx->flat_evaluator() : nullptr) {
+StateSpace::StateSpace(WorkflowContext* ctx, const CompiledWorkflow& compiled)
+    : ctx_(ctx), compiled_(compiled) {
   symbols_.assign(compiled.symbols().begin(), compiled.symbols().end());
   CDES_CHECK_LE(symbols_.size(), 64u);
   for (size_t i = 0; i < symbols_.size(); ++i) symbol_index_[symbols_[i]] = i;
@@ -84,13 +81,13 @@ const Guard* StateSpace::Commitment(const CheckState& s,
   size_t i = SymbolIndex(lit.symbol());
   CDES_DCHECK(!(s.decided >> i & 1));
   const Guard* g = s.guards[2 * i + lit.complemented()];
-  return flat_ != nullptr ? flat_->Commit(ctx_->guards(), g)
-                          : CommitNow(ctx_->guards(), g);
+  return ctx_->flat_evaluator()->Commit(ctx_->guards(), g);
 }
 
 CheckState StateSpace::Successor(const CheckState& s, EventLiteral lit) const {
   GuardArena* arena = ctx_->guards();
   Residuator* residuator = ctx_->residuator();
+  ReductionCache* cache = ctx_->reduction_cache();
   size_t i = SymbolIndex(lit.symbol());
   CDES_DCHECK(!(s.decided >> i & 1));
   Announcement occurred{AnnouncementKind::kOccurred, lit};
@@ -103,20 +100,19 @@ CheckState StateSpace::Successor(const CheckState& s, EventLiteral lit) const {
     // Freeze the fired literal's permission and fold it into the path
     // commitment; the fired literal itself counts toward its own ◇-part
     // (◇ is evaluated against the full maximal trace).
-    const Guard* frozen =
-        flat_ != nullptr ? flat_->Commit(arena, s.guards[2 * i + lit.complemented()])
-                         : CommitNow(arena, s.guards[2 * i + lit.complemented()]);
+    const Guard* frozen = ctx_->flat_evaluator()->Commit(
+        arena, s.guards[2 * i + lit.complemented()]);
     child.commitment = ReduceGuard(arena, residuator,
                                    arena->And(s.commitment, frozen), occurred,
-                                   cache_);
+                                   cache);
     if (!child.commitment->IsFalse()) {
       for (size_t j = 0; j < symbols_.size(); ++j) {
         if (j == i || (child.decided >> j & 1)) continue;
         child.guards[2 * j] =
-            ReduceGuard(arena, residuator, s.guards[2 * j], occurred, cache_);
+            ReduceGuard(arena, residuator, s.guards[2 * j], occurred, cache);
         child.guards[2 * j + 1] = ReduceGuard(arena, residuator,
                                               s.guards[2 * j + 1], occurred,
-                                              cache_);
+                                              cache);
       }
     }
     // On commitment collapse the guards are dropped: the subtree is

@@ -164,27 +164,8 @@ Engine::Engine(EngineSpecRef spec, const EngineOptions& options)
       options_.shards, options_.max_in_flight, options_.tracer);
   shards_.reserve(options_.shards);
   for (size_t k = 0; k < options_.shards; ++k) {
-    ShardOptions sopts;
-    sopts.index = k;
-    sopts.max_resident = options_.max_resident_per_shard;
-    sopts.step_batch = options_.step_batch;
-    sopts.seed = options_.seed;
-    sopts.sites = spec_->site_count();
-    sopts.base_latency = options_.base_latency;
-    sopts.jitter = options_.jitter;
-    sopts.enable_promises = options_.enable_promises;
-    sopts.auto_trigger = options_.auto_trigger;
-    sopts.simplify_guards = options_.simplify_guards;
-    sopts.symbolic_caches = options_.symbolic_caches;
-    sopts.durable_logs = options_.durable_logs;
-    sopts.wal_dir = options_.wal_dir;
-    sopts.checkpoint_every = options_.checkpoint_every;
-    sopts.group_commit_records = options_.group_commit_records;
-    sopts.start_paused = options_.start_paused;
-    sopts.epoch = epoch_;
-    sopts.profiler = options_.profiler;
-    sopts.lifecycle_metrics = options_.lifecycle_metrics;
-    shards_.push_back(std::make_unique<Shard>(spec_, sopts, manager_.get()));
+    shards_.push_back(std::make_unique<Shard>(spec_, options_, k, epoch_,
+                                              manager_.get()));
   }
   for (auto& shard : shards_) shard->Start();
 }
@@ -298,7 +279,6 @@ void Engine::Checkpoint() {
 
 void Engine::Abort() {
   if (stopped_) return;
-  stopped_ = true;
   if (telemetry_thread_.joinable()) {
     {
       std::lock_guard<std::mutex> lock(telemetry_mu_);
@@ -307,6 +287,8 @@ void Engine::Abort() {
     telemetry_cv_.notify_all();
     telemetry_thread_.join();
   }
+  // Set only once the publisher is joined: it reads stopped_ (Metrics()).
+  stopped_ = true;
   for (auto& shard : shards_) shard->Abort();
   for (auto& shard : shards_) shard->Join();
   stopped_at_us_ = NowUs();
@@ -323,7 +305,6 @@ void Engine::Drain() {
 
 void Engine::Stop() {
   if (stopped_) return;
-  stopped_ = true;
   Resume();
   // Park the telemetry publisher before the shards go away; its final
   // line is emitted below, after the per-shard registries are mergeable.
@@ -335,6 +316,8 @@ void Engine::Stop() {
     telemetry_cv_.notify_all();
     telemetry_thread_.join();
   }
+  // Set only once the publisher is joined: it reads stopped_ (Metrics()).
+  stopped_ = true;
   for (auto& shard : shards_) {
     EngineCommand cmd;
     cmd.kind = EngineCommand::Kind::kStop;

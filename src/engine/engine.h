@@ -13,76 +13,12 @@
 
 #include "engine/engine_spec.h"
 #include "engine/instance.h"
+#include "engine/options.h"
 #include "engine/shard.h"
 #include "obs/obs.h"
 #include "obs/profiler.h"
 
 namespace cdes::engine {
-
-struct EngineOptions {
-  /// Worker shards. 0 = auto (half the hardware threads, at least 1).
-  size_t shards = 0;
-  /// Admission limit: instances in flight (submitted, not yet completed)
-  /// before Submit blocks / TrySubmit rejects. 0 = unbounded.
-  size_t max_in_flight = 4096;
-  /// Instances a shard interleaves at once; further commands wait in its
-  /// mailbox (bounds live memory at shards × max_resident worlds).
-  size_t max_resident_per_shard = 64;
-  /// Simulator events per instance per cooperative turn.
-  size_t step_batch = 64;
-  /// Seed for the per-instance network RNG streams. Together with the
-  /// submission order (which fixes instance ids), this fully determines
-  /// every instance's history — independent of shard count.
-  uint64_t seed = 1;
-  /// Per-instance simulated network latency between distinct sites, plus
-  /// uniform jitter drawn from the instance's seeded RNG.
-  SimTime base_latency = 1000;
-  SimTime jitter = 0;
-  /// Scheduler behavior, passed through to every instance scheduler.
-  bool enable_promises = true;
-  bool auto_trigger = true;
-  bool simplify_guards = true;
-  /// Shard-shared symbolic caches (reduction memo + flat evaluation); off
-  /// reproduces pre-memoization behavior for ablation benchmarks.
-  bool symbolic_caches = true;
-  /// Keep one EventLog per instance and return its serialized form in the
-  /// InstanceResult, enabling Engine::Recover after a crash.
-  bool durable_logs = false;
-  /// When non-empty, every in-flight instance's log is mirrored to
-  /// `<wal_dir>/<id>.log` on disk as it runs (implies durable_logs; the
-  /// directory is created). A crashed engine rebuilds from those files via
-  /// RecoverDir. Completed instances' files are removed — their sealed log
-  /// lives in the InstanceResult.
-  std::string wal_dir;
-  /// Checkpoint + compact an instance's on-disk log once its record suffix
-  /// reaches this many records (at the instance's next quiescent turn).
-  /// 0 = only on explicit Checkpoint(). Needs wal_dir.
-  size_t checkpoint_every = 0;
-  /// Group commit: WAL appends buffer across a shard's residents and hit
-  /// the filesystem once this many lines accumulate (or at a barrier —
-  /// checkpoint, instance completion, shard idle, stop). 1 = write-through
-  /// on every record. Needs wal_dir.
-  size_t group_commit_records = 1;
-  /// Construct paused: submissions queue but no shard consumes until
-  /// Resume(). Deterministic admission tests; bench preloading.
-  bool start_paused = false;
-  /// When set, one Complete span per instance ("instance <id>", tid =
-  /// instance id, pid = shard index, wall-clock microseconds) is recorded,
-  /// plus a "submit <id>" span on the engine lane and a flow arrow linking
-  /// the two across threads. Calls are serialized by the instance manager,
-  /// so an ordinary TraceRecorder is safe despite the multi-threaded
-  /// engine.
-  obs::TraceRecorder* tracer = nullptr;
-  /// When set, every shard's resident schedulers attribute guard
-  /// evaluations to it. GuardProfiler is internally thread-safe (atomic
-  /// record path), so one profiler shared by all shards is the intended
-  /// shape.
-  obs::GuardProfiler* profiler = nullptr;
-  /// Turn on per-instance lifecycle histograms in the shard registries
-  /// (sched.decision_latency_us, sched.guard_reduction_steps, ...). Off by
-  /// default: the engine hot path skips that instrumentation.
-  bool lifecycle_metrics = false;
-};
 
 /// Point-in-time view of the engine's counters, safe to take while the
 /// engine runs (assembled from atomics and the manager's mutex-guarded

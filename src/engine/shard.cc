@@ -1,5 +1,6 @@
 #include "engine/shard.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/strings.h"
@@ -8,6 +9,13 @@
 
 namespace cdes::engine {
 namespace {
+
+/// Simulator events one instance may execute per cooperative turn before
+/// yielding to the next resident instance.
+constexpr size_t kStepBatch = 64;
+/// Closure waves before giving up on maximality (closure can need several
+/// waves when complements park against in-flight announcements).
+constexpr size_t kMaxCloseRounds = 16;
 
 /// splitmix64 over (engine seed, instance id): decorrelated per-instance
 /// RNG streams that depend on nothing a shard knows — the determinism
@@ -22,9 +30,11 @@ uint64_t MixSeed(uint64_t seed, uint64_t id) {
 
 }  // namespace
 
-Shard::Shard(EngineSpecRef spec, const ShardOptions& options,
+Shard::Shard(EngineSpecRef spec, const EngineOptions& options, size_t index,
+             std::chrono::steady_clock::time_point epoch,
              InstanceManager* manager)
-    : spec_(std::move(spec)), options_(options), manager_(manager) {
+    : spec_(std::move(spec)), options_(options), index_(index),
+      epoch_(epoch), manager_(manager) {
   paused_ = options_.start_paused;
 }
 
@@ -64,7 +74,7 @@ void Shard::Abort() {
 uint64_t Shard::NowUs() const {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - options_.epoch)
+          std::chrono::steady_clock::now() - epoch_)
           .count());
 }
 
@@ -76,9 +86,7 @@ void Shard::ThreadMain() {
   Result<ParsedWorkflow> parsed = spec_->Materialize(ctx_.get());
   CDES_CHECK(parsed.ok()) << parsed.status();
   workflow_ = std::move(parsed).value();
-  CompileOptions copts;
-  copts.simplify = options_.simplify_guards;
-  compiled_ = CompileWorkflowShared(ctx_.get(), workflow_.spec, copts);
+  compiled_ = CompileWorkflowShared(ctx_.get(), workflow_.spec);
   if (!options_.wal_dir.empty()) {
     WalOptions wopts;
     wopts.dir = options_.wal_dir;
@@ -86,7 +94,6 @@ void Shard::ThreadMain() {
     wal_ = std::make_unique<ShardWal>(wopts);
   }
 
-  std::vector<std::unique_ptr<Resident>> active;
   bool stopping = false;
   while (true) {
     if (abort_.load(std::memory_order_relaxed)) return;  // simulated kill
@@ -96,8 +103,8 @@ void Shard::ThreadMain() {
       // with resident instances never blocks — it polls the mailbox
       // between turns. Going idle is a group-commit barrier: nothing else
       // would flush the buffered tail while we sleep.
-      if (active.empty() && !stopping) {
-        if (wal_ != nullptr) wal_->FlushAll();
+      if (active_.empty() && !stopping) {
+        if (wal_ != nullptr) FlushWal();
         cv_.wait(lock, [this] {
           return abort_.load(std::memory_order_relaxed) ||
                  (!paused_ && !queue_.empty());
@@ -105,7 +112,7 @@ void Shard::ThreadMain() {
         if (abort_.load(std::memory_order_relaxed)) return;
       }
       while (!paused_ && !queue_.empty() &&
-             active.size() < options_.max_resident) {
+             active_.size() < options_.max_resident_per_shard) {
         EngineCommand cmd = std::move(queue_.front());
         queue_.pop_front();
         queue_depth_.store(queue_.size(), std::memory_order_relaxed);
@@ -116,26 +123,26 @@ void Shard::ThreadMain() {
         if (cmd.kind == EngineCommand::Kind::kCheckpoint) {
           // Checkpoints happen at quiescent turns; mark every resident so
           // each takes one at its next opportunity.
-          for (auto& r : active) r->force_checkpoint = true;
+          for (auto& r : active_) r->force_checkpoint = true;
           continue;
         }
         lock.unlock();  // world construction happens outside the mailbox
-        active.push_back(AdmitInstance(std::move(cmd)));
-        resident_.store(active.size(), std::memory_order_relaxed);
+        active_.push_back(AdmitInstance(std::move(cmd)));
+        resident_.store(active_.size(), std::memory_order_relaxed);
         lock.lock();
       }
     }
-    if (active.empty()) {
+    if (active_.empty()) {
       if (stopping) break;
       continue;
     }
     // One cooperative turn per resident instance, in admission order.
-    for (auto it = active.begin(); it != active.end();) {
+    for (auto it = active_.begin(); it != active_.end();) {
       if (abort_.load(std::memory_order_relaxed)) return;
       if (StepInstance(**it)) {
         Finish(**it);
-        it = active.erase(it);
-        resident_.store(active.size(), std::memory_order_relaxed);
+        it = active_.erase(it);
+        resident_.store(active_.size(), std::memory_order_relaxed);
       } else {
         ++it;
       }
@@ -144,7 +151,7 @@ void Shard::ThreadMain() {
   }
   // Stop barrier: whatever group commit still holds goes to disk before
   // the worker exits.
-  if (wal_ != nullptr) wal_->FlushAll();
+  if (wal_ != nullptr) FlushWal();
   PublishCacheGauges();
 }
 
@@ -166,21 +173,16 @@ std::unique_ptr<Shard::Resident> Shard::AdmitInstance(EngineCommand cmd) {
   r->script = std::move(cmd.script);
   r->result.id = cmd.id;
   r->result.tag = r->script.tag;
-  r->result.shard = options_.index;
+  r->result.shard = index_;
 
   NetworkOptions nopts;
   nopts.base_latency = options_.base_latency;
-  nopts.local_latency = options_.local_latency;
   nopts.jitter = options_.jitter;
   nopts.seed = MixSeed(options_.seed, cmd.id);
   nopts.metrics = &metrics_;
-  r->net = std::make_unique<Network>(&r->sim, options_.sites, nopts);
+  r->net = std::make_unique<Network>(&r->sim, spec_->site_count(), nopts);
 
   GuardSchedulerOptions sopts;
-  sopts.enable_promises = options_.enable_promises;
-  sopts.auto_trigger = options_.auto_trigger;
-  sopts.simplify_guards = options_.simplify_guards;
-  sopts.symbolic_caches = options_.symbolic_caches;
   sopts.metrics = &metrics_;
   sopts.lifecycle_instrumentation = options_.lifecycle_metrics;
   sopts.profiler = options_.profiler;
@@ -234,14 +236,16 @@ std::unique_ptr<Shard::Resident> Shard::AdmitInstance(EngineCommand cmd) {
     // The WAL file exists from the first moment the instance might write
     // records; on recovery it is rebuilt as the recovered image (the old
     // file may have had a torn tail or belong to a pre-compaction state).
-    wal_->Create(r->id, r->log->SerializeOpen(*ctx_->alphabet()));
+    Status created =
+        wal_->Create(r->id, r->log->SerializeOpen(*ctx_->alphabet()));
+    if (!created.ok()) FailWal(*r, StrCat("wal: ", created.ToString()));
   }
   return r;
 }
 
 bool Shard::StepInstance(Resident& r) {
   if (r.sim.pending() > 0) {
-    sim_steps_.fetch_add(r.sim.Run(options_.step_batch),
+    sim_steps_.fetch_add(r.sim.Run(kStepBatch),
                          std::memory_order_relaxed);
     SyncWal(r);  // records the batch just produced, on group-commit terms
     if (r.sim.pending() > 0) return false;  // yield; more next turn
@@ -276,7 +280,7 @@ bool Shard::StepInstance(Resident& r) {
     }
     case Resident::Phase::kClosing: {
       if (r.sched->Undecided().empty() ||
-          ++r.close_rounds > options_.max_close_rounds) {
+          ++r.close_rounds > kMaxCloseRounds) {
         r.phase = Resident::Phase::kDone;
         return true;
       }
@@ -290,7 +294,8 @@ bool Shard::StepInstance(Resident& r) {
 }
 
 void Shard::SyncWal(Resident& r) {
-  if (wal_ == nullptr || r.log == nullptr) return;
+  // A failed instance's file is already behind its run; stop feeding it.
+  if (wal_ == nullptr || r.log == nullptr || !r.result.error.empty()) return;
   const std::vector<EventLog::Record>& records = r.log->records();
   CDES_CHECK(r.wal_seen <= records.size());
   for (size_t i = r.wal_seen; i < records.size(); ++i) {
@@ -301,9 +306,30 @@ void Shard::SyncWal(Resident& r) {
   if (wal_->ShouldFlush()) {
     // Group commit: one filesystem pass covers every resident's buffered
     // appends, not just this instance's.
-    wal_->FlushAll();
+    FlushWal();
     metrics_.counter("engine.wal.group_commits")->Increment();
   }
+}
+
+void Shard::FlushWal() {
+  std::vector<uint64_t> failed;
+  if (wal_->FlushAll(&failed).ok()) return;
+  for (uint64_t id : failed) {
+    std::string error = StrCat("wal: cannot flush '", wal_->PathFor(id), "'");
+    auto it = std::find_if(active_.begin(), active_.end(),
+                           [id](const auto& r) { return r->id == id; });
+    if (it != active_.end()) {
+      FailWal(**it, error);
+    } else {
+      metrics_.counter("engine.wal.errors")->Increment();
+    }
+  }
+}
+
+void Shard::FailWal(Resident& r, const std::string& error) {
+  metrics_.counter("engine.wal.errors")->Increment();
+  if (r.result.error.empty()) r.result.error = error;
+  r.phase = Resident::Phase::kDone;
 }
 
 void Shard::MaybeCheckpoint(Resident& r) {
@@ -361,7 +387,9 @@ void Shard::Finish(Resident& r) {
     // The instance is complete: its durable record is the sealed log in
     // the result, and the in-flight WAL file (plus any buffered tail)
     // retires with it — RecoverDir must only resurrect unfinished work.
-    wal_->Remove(r.id);
+    if (Status removed = wal_->Remove(r.id); !removed.ok()) {
+      FailWal(r, StrCat("wal: ", removed.ToString()));
+    }
   }
   events_.fetch_add(r.result.events, std::memory_order_relaxed);
   instances_completed_.fetch_add(1, std::memory_order_relaxed);

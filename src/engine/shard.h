@@ -7,11 +7,13 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "engine/engine_spec.h"
 #include "engine/instance.h"
+#include "engine/options.h"
 #include "engine/wal.h"
 #include "guards/context.h"
 #include "guards/workflow.h"
@@ -22,66 +24,11 @@
 
 namespace cdes::engine {
 
-/// Per-shard knobs, derived by the Engine from its EngineOptions.
-struct ShardOptions {
-  size_t index = 0;
-  /// Cap on instances interleaved on the shard at once; commands beyond it
-  /// wait in the mailbox.
-  size_t max_resident = 64;
-  /// Simulator events one instance may execute per cooperative turn before
-  /// yielding to the next resident instance.
-  size_t step_batch = 64;
-  /// Engine seed; each instance's network RNG is seeded from (seed,
-  /// instance id) only, which is what makes histories independent of shard
-  /// count and placement.
-  uint64_t seed = 1;
-  /// Per-instance simulated-network shape.
-  size_t sites = 1;
-  SimTime base_latency = 1000;
-  SimTime local_latency = 1;
-  SimTime jitter = 0;
-  /// Scheduler behavior (GuardSchedulerOptions passthrough).
-  bool enable_promises = true;
-  bool auto_trigger = true;
-  bool simplify_guards = true;
-  /// Shard-shared symbolic caches (reduction memo + flat evaluation); off
-  /// reproduces pre-memoization behavior for ablation benchmarks.
-  bool symbolic_caches = true;
-  /// Keep a per-instance EventLog and ship its serialized form in the
-  /// result (enables Engine::Recover).
-  bool durable_logs = false;
-  /// When non-empty, mirror every resident instance's log to
-  /// `<wal_dir>/<id>.log` as it runs (implies durable_logs): the on-disk
-  /// WAL a crashed engine recovers from via Engine::RecoverDir.
-  std::string wal_dir;
-  /// Checkpoint + compact an instance's WAL once its record suffix reaches
-  /// this many records (at the instance's next quiescent turn). 0 = only
-  /// on explicit Engine::Checkpoint().
-  size_t checkpoint_every = 0;
-  /// Group commit: WAL appends buffer across residents and reach the
-  /// filesystem once this many lines accumulated (or at a barrier:
-  /// checkpoint, completion, idle, stop). 1 = write-through.
-  size_t group_commit_records = 1;
-  /// Start with the mailbox paused: commands queue but nothing runs until
-  /// Resume() (deterministic backpressure tests, bench preloading).
-  bool start_paused = false;
-  /// Closure waves before giving up on maximality (closure can need
-  /// several waves when complements park against in-flight announcements).
-  size_t max_close_rounds = 16;
-  /// Wall-clock epoch for instance-span timestamps.
-  std::chrono::steady_clock::time_point epoch{};
-  /// Shared guard profiler every resident scheduler attributes to
-  /// (thread-safe; one profiler serves all shards). Null = off.
-  obs::GuardProfiler* profiler = nullptr;
-  /// Enable the per-instance sched.* lifecycle histograms.
-  bool lifecycle_metrics = false;
-};
-
 /// One worker: a thread owning an MPSC mailbox of EngineCommands and a set
 /// of resident workflow instances it steps cooperatively (round-robin, a
 /// bounded batch of simulator events per instance per turn — so thousands
-/// of submitted instances make progress with at most `max_resident` worlds
-/// live at once).
+/// of submitted instances make progress with at most
+/// `max_resident_per_shard` worlds live at once).
 ///
 /// Thread-confinement is the shard's whole concurrency story: the
 /// WorkflowContext (arenas, alphabet), the compiled guard table, every
@@ -94,7 +41,10 @@ struct ShardOptions {
 /// traffic is the mailbox (mutex + condvar) and a few atomic counters.
 class Shard {
  public:
-  Shard(EngineSpecRef spec, const ShardOptions& options,
+  /// Shard `index` of an engine configured by `options`; `epoch` is the
+  /// engine's wall-clock origin for instance-span timestamps.
+  Shard(EngineSpecRef spec, const EngineOptions& options, size_t index,
+        std::chrono::steady_clock::time_point epoch,
         InstanceManager* manager);
   ~Shard();
 
@@ -166,6 +116,13 @@ class Shard {
   /// Pushes new log records to the WAL buffer; flushes on the group-commit
   /// threshold.
   void SyncWal(Resident& r);
+  /// Group-commit flush of every buffered append; each instance whose
+  /// flush failed goes through FailWal.
+  void FlushWal();
+  /// Counts a WAL failure in engine.wal.errors and records it as the
+  /// instance's error (the first one wins). The instance then finishes at
+  /// its next quiescent turn: its on-disk log no longer matches its run.
+  void FailWal(Resident& r, const std::string& error);
   /// At quiescence: checkpoint + compact the instance's log and WAL file
   /// when the policy (or a forced checkpoint) says so. Two durable phases:
   /// (1) covered records + checkpoint section appended and flushed — a
@@ -176,7 +133,9 @@ class Shard {
   uint64_t NowUs() const;
 
   const EngineSpecRef spec_;
-  const ShardOptions options_;
+  const EngineOptions options_;
+  const size_t index_;
+  const std::chrono::steady_clock::time_point epoch_;
   InstanceManager* const manager_;
 
   // ---- Worker-thread-confined state ----
@@ -185,6 +144,10 @@ class Shard {
   CompiledWorkflowRef compiled_;
   std::unique_ptr<ShardWal> wal_;
   obs::MetricsRegistry metrics_;
+  /// Resident instances, in admission order. Declared after everything a
+  /// resident points into, so an aborted shard's leftovers are destroyed
+  /// first.
+  std::vector<std::unique_ptr<Resident>> active_;
 
   // ---- Mailbox ----
   std::mutex mu_;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -68,16 +70,19 @@ Status ShardWal::Flush(uint64_t id) {
   return Status::OK();
 }
 
-Status ShardWal::FlushAll() {
+Status ShardWal::FlushAll(std::vector<uint64_t>* failed) {
   // Collect ids first: Flush erases its buffer entry.
   std::vector<uint64_t> ids;
   ids.reserve(buffers_.size());
   for (const auto& [id, text] : buffers_) ids.push_back(id);
+  Status first;
   for (uint64_t id : ids) {
     Status s = Flush(id);
-    if (!s.ok()) return s;
+    if (s.ok()) continue;
+    if (failed != nullptr) failed->push_back(id);
+    if (first.ok()) first = std::move(s);
   }
-  return Status::OK();
+  return first;
 }
 
 Status ShardWal::Rewrite(uint64_t id, const std::string& content) {
@@ -106,7 +111,12 @@ Status ShardWal::Remove(uint64_t id) {
         std::count(it->second.begin(), it->second.end(), '\n');
     buffers_.erase(it);
   }
-  std::remove(PathFor(id).c_str());  // absent file is fine
+  std::error_code ec;
+  std::filesystem::remove(PathFor(id), ec);  // false, no error: absent
+  if (ec) {
+    return Status::Internal(
+        StrCat("cannot remove '", PathFor(id), "': ", ec.message()));
+  }
   return Status::OK();
 }
 

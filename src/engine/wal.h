@@ -58,17 +58,21 @@ class ShardWal {
   /// Whether the group-commit policy calls for a flush now.
   bool ShouldFlush() const { return pending_appends_ >= options_.group_commit_records; }
 
-  /// Writes one instance's buffered appends to its file.
+  /// Writes one instance's buffered appends to its file. On failure the
+  /// buffer is kept, so a later flush retries it whole.
   Status Flush(uint64_t id);
-  /// Writes every buffered append out (group commit / barrier).
-  Status FlushAll();
+  /// Writes every instance's buffered appends out (group commit /
+  /// barrier). A failing instance does not stop the others: every buffer
+  /// is attempted, the ids whose flush failed are appended to `*failed`
+  /// (when non-null), and the first failure is returned.
+  Status FlushAll(std::vector<uint64_t>* failed = nullptr);
 
   /// Atomically replaces the instance's file with `content`, discarding any
   /// buffered appends for it (they are part of `content` already).
   Status Rewrite(uint64_t id, const std::string& content);
 
   /// Drops the instance's file and buffers (instance completed; its sealed
-  /// log lives in the InstanceResult).
+  /// log lives in the InstanceResult). An absent file is not an error.
   Status Remove(uint64_t id);
 
   /// Buffered appends not yet on disk (across all instances).

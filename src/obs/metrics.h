@@ -87,8 +87,8 @@ class Histogram {
 /// access to named counters, gauges, and histograms, plus a JSON snapshot
 /// for benchmark trajectories and operator dumps. All runtime components
 /// (schedulers, network, simulator) report through one of these instead of
-/// bespoke stat structs; the legacy GuardSchedulerStats / NetworkStats
-/// accessors are views assembled from registry counters.
+/// bespoke stat structs; the Network::stats() accessor is a view
+/// assembled from registry counters.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;

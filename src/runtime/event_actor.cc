@@ -36,23 +36,19 @@ bool EventActor::EvaluateNow(const Guard* g) {
   return false;
 }
 
-EventActor::EventActor(ActorHost* host, SymbolId symbol, int site,
+EventActor::EventActor(ActorHost* host, WorkflowContext* ctx, SymbolId symbol,
+                       int site,
                        const Guard* positive_guard,
                        const Guard* negative_guard,
                        const EventAttributes& positive_attrs,
                        const EventAttributes& negative_attrs,
                        const obs::ActorObs* obs)
-    : host_(host), symbol_(symbol), site_(site),
+    : host_(host), ctx_(ctx), symbol_(symbol), site_(site),
       positive_guard_(positive_guard), negative_guard_(negative_guard),
       positive_attrs_(positive_attrs), negative_attrs_(negative_attrs),
-      obs_(obs), cache_(host->reduction_cache()),
-      flat_(host->flat_evaluator()), incremental_(cache_ != nullptr) {}
+      obs_(obs) {}
 
-bool EventActor::Evaluate(const Guard* g) const {
-  return flat_ != nullptr ? flat_->EvaluateNow(g) : EvaluateNow(g);
-}
-
-const Guard* EventActor::HeardFold(EventLiteral literal) const {
+const Guard* EventActor::HeardResidual(EventLiteral literal) const {
   std::vector<const Guard*>& chain =
       literal.complemented() ? neg_chain_ : pos_chain_;
   if (chain.empty()) chain.push_back(CompiledGuard(literal));
@@ -61,10 +57,8 @@ const Guard* EventActor::HeardFold(EventLiteral literal) const {
   // out-of-order truncation).
   while (chain.size() <= heard_.size()) {
     const auto& [stamp, occurred] = heard_[chain.size() - 1];
-    chain.push_back(ReduceGuard(host_->guard_arena(), host_->residuator(),
-                                chain.back(),
-                                {AnnouncementKind::kOccurred, occurred},
-                                cache_));
+    chain.push_back(
+        Reduce(chain.back(), {AnnouncementKind::kOccurred, occurred}));
   }
   return chain[heard_.size()];
 }
@@ -83,19 +77,6 @@ const Guard* EventActor::CurrentGuard(EventLiteral literal) const {
   if (obs_ != nullptr && obs_->reduction_steps != nullptr) {
     obs_->reduction_steps->Observe(heard_.size() + promises_.size());
   }
-  if (incremental_ && profile_ == nullptr) {
-    size_t slot = literal.complemented() ? 1 : 0;
-    if (current_memo_version_[slot] == version_) return current_memo_[slot];
-    const Guard* g = HeardFold(literal);
-    for (const auto& [promised, after] : promises_) {
-      g = ReduceGuard(host_->guard_arena(), host_->residuator(), g,
-                      {AnnouncementKind::kPromised, promised}, cache_);
-    }
-    g = DischargeDiamonds(g);
-    current_memo_[slot] = g;
-    current_memo_version_[slot] = version_;
-    return g;
-  }
   if (profile_ != nullptr) {
     const std::vector<GuardProfile::Contribution>& contribs =
         literal.complemented() ? profile_->negative : profile_->positive;
@@ -105,40 +86,38 @@ const Guard* EventActor::CurrentGuard(EventLiteral literal) const {
       for (const GuardProfile::Contribution& c : contribs) {
         bool sampled = profile_->profiler->BeginEvaluation(c.site);
         uint64_t t0 = sampled ? obs::ProfilerNowNs() : 0;
-        uint64_t steps0 = host_->residuator()->residuate_calls();
+        uint64_t steps0 = ctx_->residuator()->residuate_calls();
         uint64_t nodes = 0;
         reduced.push_back(ReduceContribution(c.guard, &nodes));
         profile_->profiler->Record(
-            c.site, host_->residuator()->residuate_calls() - steps0, nodes,
+            c.site, ctx_->residuator()->residuate_calls() - steps0, nodes,
             sampled ? obs::ProfilerNowNs() - t0 : 0, sampled);
       }
       // And() re-canonicalizes to the same node the unprofiled fold below
       // yields; DischargeDiamonds cost is not attributed to any one site.
-      return DischargeDiamonds(host_->guard_arena()->And(reduced));
+      return DischargeDiamonds(ctx_->guards()->And(reduced));
     }
   }
-  const Guard* g = CompiledGuard(literal);
-  // Occurrences must be assimilated in stamp order for ◇E residuation to be
-  // sound; heard_ is kept sorted by stamp.
-  for (const auto& [stamp, occurred] : heard_) {
-    g = ReduceGuard(host_->guard_arena(), host_->residuator(), g,
-                    {AnnouncementKind::kOccurred, occurred});
-  }
+  size_t slot = literal.complemented() ? 1 : 0;
+  if (current_memo_version_[slot] == version_) return current_memo_[slot];
+  const Guard* g = HeardResidual(literal);
   for (const auto& [promised, after] : promises_) {
-    g = ReduceGuard(host_->guard_arena(), host_->residuator(), g,
-                    {AnnouncementKind::kPromised, promised});
+    g = Reduce(g, {AnnouncementKind::kPromised, promised});
   }
-  return DischargeDiamonds(g);
+  g = DischargeDiamonds(g);
+  current_memo_[slot] = g;
+  current_memo_version_[slot] = version_;
+  return g;
 }
 
 const Guard* EventActor::ReduceContribution(const Guard* g,
                                             uint64_t* nodes) const {
   for (const auto& [stamp, occurred] : heard_) {
-    g = ReduceGuardCounted(host_->guard_arena(), host_->residuator(), g,
+    g = ReduceGuardCounted(ctx_->guards(), ctx_->residuator(), g,
                            {AnnouncementKind::kOccurred, occurred}, nodes);
   }
   for (const auto& [promised, after] : promises_) {
-    g = ReduceGuardCounted(host_->guard_arena(), host_->residuator(), g,
+    g = ReduceGuardCounted(ctx_->guards(), ctx_->residuator(), g,
                            {AnnouncementKind::kPromised, promised}, nodes);
   }
   return g;
@@ -153,12 +132,13 @@ bool EventActor::FastPermitted(EventLiteral literal) const {
   // which flips the optimistic outcome. Guards containing ◇ carry residual
   // obligations whose discharge depends on fold order and held promises, so
   // they take the reduced-guard path.
-  if (!incremental_ || flat_ == nullptr || profile_ != nullptr) return false;
-  const FlatProgram& p = flat_->ProgramFor(CompiledGuard(literal));
+  if (profile_ != nullptr) return false;
+  FlatEvaluator* flat = ctx_->flat_evaluator();
+  const FlatProgram& p = flat->ProgramFor(CompiledGuard(literal));
   if (p.has_diamond) return false;
   return p.EvaluateHeard(
       [this](EventLiteral l) { return heard_literals_.count(l) != 0; },
-      flat_->scratch());
+      flat->scratch());
 }
 
 const Guard* EventActor::DischargeDiamonds(const Guard* g) const {
@@ -208,7 +188,7 @@ const Guard* EventActor::DischargeDiamonds(const Guard* g) const {
               guaranteed = false;
             }
           }
-          if (guaranteed) return host_->guard_arena()->True();
+          if (guaranteed) return ctx_->guards()->True();
           return g;
         }
       }
@@ -245,7 +225,7 @@ const Guard* EventActor::DischargeDiamonds(const Guard* g) const {
           break;
         }
       } while (std::next_permutation(perm.begin(), perm.end()));
-      if (any_consistent && all_satisfy) return host_->guard_arena()->True();
+      if (any_consistent && all_satisfy) return ctx_->guards()->True();
       return g;
     }
     case GuardKind::kAnd:
@@ -255,8 +235,8 @@ const Guard* EventActor::DischargeDiamonds(const Guard* g) const {
       for (const Guard* c : g->children()) {
         kids.push_back(DischargeDiamonds(c));
       }
-      return g->kind() == GuardKind::kAnd ? host_->guard_arena()->And(kids)
-                                          : host_->guard_arena()->Or(kids);
+      return g->kind() == GuardKind::kAnd ? ctx_->guards()->And(kids)
+                                          : ctx_->guards()->Or(kids);
     }
   }
   return g;
@@ -275,7 +255,7 @@ void EventActor::Attempt(EventLiteral literal, AttemptCallback done) {
     return;
   }
   const Guard* g = CurrentGuard(literal);
-  if (Evaluate(g)) {
+  if (ctx_->flat_evaluator()->EvaluateNow(g)) {
     Occur(literal);
     if (done) done(Decision::kAccepted);
     return;
@@ -335,16 +315,6 @@ void EventActor::RestoreOccurrence(EventLiteral literal) {
   decided_ = literal;
 }
 
-const Guard* EventActor::HeardResidual(EventLiteral literal) const {
-  if (incremental_) return HeardFold(literal);
-  const Guard* g = CompiledGuard(literal);
-  for (const auto& [stamp, occurred] : heard_) {
-    g = ReduceGuard(host_->guard_arena(), host_->residuator(), g,
-                    {AnnouncementKind::kOccurred, occurred});
-  }
-  return g;
-}
-
 void EventActor::RestoreBaseline(const Guard* positive, const Guard* negative) {
   CDES_CHECK(!decided_ && heard_.empty() && parked_.empty())
       << "baseline restore requires a fresh actor";
@@ -368,19 +338,11 @@ void EventActor::Receive(const RuntimeMessage& msg) {
       // retransmission racing its ack) must be dropped here — folding it
       // into CurrentGuard again would residuate ◇-sequences by an event
       // that occurred only once, corrupting the reduced guard.
-      if (incremental_) {
-        if (!heard_literals_.insert(msg.literal).second) return;
-      } else {
-        for (const auto& [stamp, occurred] : heard_) {
-          if (occurred == msg.literal) return;
-        }
-      }
+      if (!heard_literals_.insert(msg.literal).second) return;
       auto entry = std::make_pair(msg.stamp, msg.literal);
       auto pos = std::upper_bound(heard_.begin(), heard_.end(), entry);
-      if (incremental_) {
-        TruncateFoldChains(static_cast<size_t>(pos - heard_.begin()));
-        ++version_;
-      }
+      TruncateFoldChains(static_cast<size_t>(pos - heard_.begin()));
+      ++version_;
       heard_.insert(pos, entry);
       ReviewObligations();
       Reevaluate();
@@ -443,7 +405,7 @@ void EventActor::Reevaluate() {
         break;  // decided_: remaining parked resolved by Occur
       }
       const Guard* g = CurrentGuard(parked_[i].literal);
-      if (Evaluate(g)) {
+      if (ctx_->flat_evaluator()->EvaluateNow(g)) {
         Parked p = std::move(parked_[i]);
         parked_.erase(parked_.begin() + i);
         Occur(p.literal);
@@ -507,9 +469,8 @@ void EventActor::EmitNeeds(EventLiteral parked, const Guard* reduced) {
     // discharged were `need` never to occur (hypothetically announce its
     // complement), leave it to the workload — the paper's scheduler causes
     // events "when necessary" (Example 4).
-    const Guard* without = ReduceGuard(
-        host_->guard_arena(), host_->residuator(), reduced,
-        {AnnouncementKind::kOccurred, need.Complemented()}, cache_);
+    const Guard* without =
+        Reduce(reduced, {AnnouncementKind::kOccurred, need.Complemented()});
     if (!without->IsFalse()) continue;
     triggers_sent_.insert(need);
     RuntimeMessage trigger{RuntimeMessageKind::kTrigger, need,
@@ -535,26 +496,23 @@ bool EventActor::TryAnswerPromiseRequest(const RuntimeMessage& request) {
     const Guard* hypothetical = current;
     for (EventLiteral implied : request.implied) {
       hypothetical =
-          ReduceGuard(host_->guard_arena(), host_->residuator(), hypothetical,
-                      {AnnouncementKind::kOccurred, implied}, cache_);
+          Reduce(hypothetical, {AnnouncementKind::kOccurred, implied});
     }
-    hypothetical = ReduceGuard(
-        host_->guard_arena(), host_->residuator(), hypothetical,
-        {AnnouncementKind::kOccurred, request.requester}, cache_);
+    hypothetical = Reduce(hypothetical,
+                          {AnnouncementKind::kOccurred, request.requester});
     // Re-apply held promises: the hypothetical occurrences may have
     // residuated a ◇-sequence down to something the promises we already
     // hold can discharge (e.g. ◇(ev2·ev1)/ev2 = ◇ev1 with ◇ev1 in hand).
     for (const auto& [promised, after] : promises_) {
       hypothetical =
-          ReduceGuard(host_->guard_arena(), host_->residuator(), hypothetical,
-                      {AnnouncementKind::kPromised, promised}, cache_);
+          Reduce(hypothetical, {AnnouncementKind::kPromised, promised});
     }
     hypothetical = DischargeDiamonds(hypothetical);
     // Optimistic grant (EvaluateNow rather than the constant ⊤): residual
     // ¬-atoms are tolerated because, for synthesized guards, an event that
     // could falsify them is itself ordered after us (the verifier's
     // race-freedom property); residual ◇/□-atoms still block the grant.
-    if (!Evaluate(hypothetical)) return false;
+    if (!ctx_->flat_evaluator()->EvaluateNow(hypothetical)) return false;
     promises_made_.insert(made);
     // The promise carries order guarantees: our □-obligations and the
     // requester necessarily precede our occurrence.
@@ -596,16 +554,15 @@ bool EventActor::TryAnswerPromiseRequest(const RuntimeMessage& request) {
     if (promises_made_.count(made)) return true;
     const Guard* current = CurrentGuard(request.literal);
     const Guard* hypothetical =
-        ReduceGuard(host_->guard_arena(), host_->residuator(), current,
-                    {AnnouncementKind::kOccurred, request.requester}, cache_);
+        Reduce(current, {AnnouncementKind::kOccurred, request.requester});
     if (!hypothetical->IsTrue()) return false;
     std::set<EventLiteral> after = ImpliedBoxes(current);
     after.insert(request.requester);
     promises_made_.insert(made);
     // Adopt the requester's residual as received; ReviewObligations folds
     // the occurrence log into it in stamp order (through the prefix-fold
-    // chain on the incremental path — see there for why that is safe where
-    // a single stored residual was not).
+    // chain — see there for why that is safe where a single stored residual
+    // was not).
     obligations_.push_back(Obligation{request.need, request.literal, {}});
     RuntimeMessage promise{RuntimeMessageKind::kPromise, request.literal,
                            OccurrenceStamp{}, EventLiteral(),
@@ -633,31 +590,21 @@ void EventActor::ReviewObligations() {
   // out-of-order insertion at index i truncates the chain to i+1 entries
   // (Receive/TruncateFoldChains) before anything past the insertion point
   // is reused — so re-evaluation folds only new arrivals while reproducing
-  // the from-scratch stamp-order fold exactly. The non-incremental path
-  // keeps the original full refold.
+  // the from-scratch stamp-order fold exactly.
   std::vector<Obligation> remaining;
   std::vector<EventLiteral> to_trigger;
   for (Obligation& ob : obligations_) {
-    const Expr* residual;
-    if (incremental_) {
-      if (ob.chain.empty()) ob.chain.push_back(ob.need);
-      while (ob.chain.size() <= heard_.size()) {
-        residual = host_->residuator()->Residuate(
-            ob.chain.back(), heard_[ob.chain.size() - 1].second);
-        ob.chain.push_back(residual);
-      }
-      residual = ob.chain[heard_.size()];
-    } else {
-      residual = ob.need;
-      for (const auto& [stamp, occurred] : heard_) {
-        residual = host_->residuator()->Residuate(residual, occurred);
-      }
+    if (ob.chain.empty()) ob.chain.push_back(ob.need);
+    while (ob.chain.size() <= heard_.size()) {
+      ob.chain.push_back(ctx_->residuator()->Residuate(
+          ob.chain.back(), heard_[ob.chain.size() - 1].second));
     }
+    const Expr* residual = ob.chain[heard_.size()];
     if (residual->IsTop()) continue;  // some alternative materialized
     if (decided_) continue;           // our symbol is settled either way
     const Expr* without_us = PruneImpossibleLiteral(
-        host_->residuator()->arena(), residual, ob.literal);
-    bool necessary = !IsSatisfiable(host_->residuator(), without_us);
+        ctx_->exprs(), residual, ob.literal);
+    bool necessary = !IsSatisfiable(ctx_->residuator(), without_us);
     if (necessary) {
       to_trigger.push_back(ob.literal);
     } else {

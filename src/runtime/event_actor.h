@@ -8,15 +8,13 @@
 #include <utility>
 #include <vector>
 
-#include "algebra/residuation.h"
+#include "guards/context.h"
 #include "obs/obs.h"
 #include "obs/profiler.h"
 #include "runtime/messages.h"
 #include "sched/scheduler.h"
 #include "spec/ast.h"
-#include "temporal/flat_eval.h"
 #include "temporal/guard.h"
-#include "temporal/reduction.h"
 
 namespace cdes {
 
@@ -50,16 +48,6 @@ class ActorHost {
 
   /// Whether the promise protocol (Example 11) is enabled.
   virtual bool PromisesEnabled() const = 0;
-
-  virtual GuardArena* guard_arena() = 0;
-  virtual Residuator* residuator() = 0;
-
-  /// Shard-shared symbolic caches (see guards/context.h). Null (the
-  /// default) disables memoization: actors then re-fold guards from scratch
-  /// on every evaluation — the reference behavior the equivalence property
-  /// tests compare against.
-  virtual ReductionCache* reduction_cache() { return nullptr; }
-  virtual FlatEvaluator* flat_evaluator() { return nullptr; }
 };
 
 /// Per-actor profiling attachment, built by the owning scheduler when a
@@ -91,11 +79,17 @@ struct GuardProfile {
 /// reduced by the log in stamp order and then by received promises. Sorting
 /// by stamp (not arrival) is what keeps ◇E residuation sound when the
 /// network reorders announcements.
+///
+/// Evaluation is memoized through `ctx`'s shard-shared symbolic caches:
+/// reductions go through its ReductionCache (a hash probe after first
+/// touch), the heard-announcement fold is kept as a per-polarity prefix
+/// chain, and EvaluateNow runs on its flat evaluator.
 class EventActor {
  public:
-  /// `obs` (optional) carries pre-resolved instrumentation handles from the
-  /// owning scheduler; it must outlive the actor when non-null.
-  EventActor(ActorHost* host, SymbolId symbol, int site,
+  /// The compiled guards must live in `ctx`'s arenas. `obs` (optional)
+  /// carries pre-resolved instrumentation handles from the owning
+  /// scheduler; it must outlive the actor when non-null.
+  EventActor(ActorHost* host, WorkflowContext* ctx, SymbolId symbol, int site,
              const Guard* positive_guard, const Guard* negative_guard,
              const EventAttributes& positive_attrs,
              const EventAttributes& negative_attrs,
@@ -125,6 +119,12 @@ class EventActor {
   /// checkpoint snapshots exactly these residuals (runtime/checkpoint.h);
   /// because residuation is a left fold, folding the heard prefix here and
   /// the replayed suffix after recovery equals folding the whole history.
+  ///
+  /// Computed through the per-polarity prefix-fold chain. Chains are safe
+  /// to memoize *per ordered-prefix position*: chain[k] depends only on the
+  /// first k stamp-ordered entries, and an out-of-order arrival inserted at
+  /// index i truncates every chain to length i+1 before any entry past the
+  /// insertion point is reused.
   const Guard* HeardResidual(EventLiteral literal) const;
 
   /// Recovery: replaces the compiled baseline guards with checkpoint
@@ -163,8 +163,8 @@ class EventActor {
   /// A deferred trigger obligation (promise-backed, see
   /// TryAnswerPromiseRequest): the adopted residual, the literal to trigger
   /// when it is the only way left, and the memoized prefix-fold chain —
-  /// chain[k] = need residuated by heard_[0..k), maintained only on the
-  /// incremental path (see ReviewObligations for the order-safety argument).
+  /// chain[k] = need residuated by heard_[0..k) (see ReviewObligations for
+  /// the order-safety argument).
   struct Obligation {
     const Expr* need;
     EventLiteral literal;
@@ -175,20 +175,15 @@ class EventActor {
     return literal.complemented() ? negative_guard_ : positive_guard_;
   }
 
+  /// ReduceGuard through the context's arenas and shared ReductionCache.
+  const Guard* Reduce(const Guard* g, const Announcement& announcement) const {
+    return ReduceGuard(ctx_->guards(), ctx_->residuator(), g, announcement,
+                       ctx_->reduction_cache());
+  }
+
   /// The heard_/promises_ fold of CurrentGuard over one contribution,
   /// counting visited guard nodes into `*nodes`.
   const Guard* ReduceContribution(const Guard* g, uint64_t* nodes) const;
-
-  /// The compiled guard folded by heard_[0..heard_.size()) — through the
-  /// per-polarity prefix-fold chain on the incremental path, from scratch
-  /// otherwise. Chains are safe to memoize *per ordered-prefix position*:
-  /// chain[k] depends only on the first k stamp-ordered entries, and an
-  /// out-of-order arrival inserted at index i truncates every chain to
-  /// length i+1 before any entry past the insertion point is reused.
-  const Guard* HeardFold(EventLiteral literal) const;
-
-  /// EvaluateNow through the flat evaluator when the host provides one.
-  bool Evaluate(const Guard* g) const;
 
   /// True when `literal` is licensed right now by the flat bitmask
   /// evaluation of its ◇-free compiled guard against the heard set —
@@ -233,6 +228,7 @@ class EventActor {
   void ReviewObligations();
 
   ActorHost* host_;
+  WorkflowContext* ctx_;
   SymbolId symbol_;
   int site_;
   const Guard* positive_guard_;
@@ -241,13 +237,6 @@ class EventActor {
   EventAttributes negative_attrs_;
   const obs::ActorObs* obs_;
   const GuardProfile* profile_ = nullptr;
-  /// Host capabilities resolved once at construction (virtual calls off the
-  /// hot path). Null cache_ ⇒ the from-scratch reference behavior.
-  ReductionCache* cache_ = nullptr;
-  FlatEvaluator* flat_ = nullptr;
-  /// True when cache_ is set: prefix-fold chains, the CurrentGuard version
-  /// memo, and the heard-literal dedup set are maintained.
-  bool incremental_ = false;
 
   std::optional<EventLiteral> decided_;
   /// (stamp, literal) occurrences heard, kept sorted by stamp.
@@ -266,7 +255,7 @@ class EventActor {
   std::vector<Obligation> obligations_;
   bool reevaluating_ = false;
 
-  // ---- Incremental-evaluation state (maintained only when incremental_).
+  // ---- Memoized-evaluation state.
   /// O(1) duplicate-announcement detection (mirror of heard_'s literals).
   std::unordered_set<EventLiteral, EventLiteralHash> heard_literals_;
   /// Per-polarity prefix-fold chains: chain[k] = compiled guard reduced by

@@ -72,7 +72,7 @@ void GuardScheduler::Init(const ParsedWorkflow& workflow,
     actor_obs_.parked_depth = metrics_->histogram("sched.parked_depth");
     actor_obs_.parks = metrics_->counter("sched.parks");
   }
-  if (options.symbolic_caches && options.metrics != nullptr) {
+  if (options.metrics != nullptr) {
     // Cache effectiveness counters land next to the sched.* metrics. The
     // cache is per-context (per shard), so with many instance schedulers
     // sharing a context and registry this re-binds the same counters.
@@ -82,15 +82,6 @@ void GuardScheduler::Init(const ParsedWorkflow& workflow,
                          ? AddInstanceCompiled(std::move(compiled), workflow)
                          : AddInstance(workflow);
   CDES_CHECK(installed.ok()) << installed;
-}
-
-GuardSchedulerStats GuardScheduler::stats() const {
-  GuardSchedulerStats out;
-  out.announcements = sent_announcements_->value();
-  out.promises = sent_promises_->value();
-  out.promise_requests = sent_promise_requests_->value();
-  out.triggers = sent_triggers_->value();
-  return out;
 }
 
 Status GuardScheduler::AddInstance(const ParsedWorkflow& workflow) {
@@ -139,7 +130,7 @@ Status GuardScheduler::Install(const CompiledWorkflow& compiled,
     // occur"): delayable and rejectable, never user-triggerable.
     EventAttributes negative;
     actors_[symbol] = std::make_unique<EventActor>(
-        this, symbol, site, compiled.GuardFor(pos), compiled.GuardFor(neg_lit),
+        this, ctx_, symbol, site, compiled.GuardFor(pos), compiled.GuardFor(neg_lit),
         attrs, negative, &actor_obs_);
     if (actor_index_.size() <= symbol) actor_index_.resize(symbol + 1, nullptr);
     actor_index_[symbol] = actors_[symbol].get();

@@ -26,15 +26,6 @@ struct GuardSchedulerOptions {
   bool auto_trigger = true;
   /// Enable the conditional-promise consensus of Example 11.
   bool enable_promises = true;
-  /// Memoized symbolic evaluation: actors use the context's shard-shared
-  /// ReductionCache (assimilation becomes a hash probe after first touch),
-  /// prefix-fold chains for the hold-back replay and trigger obligations,
-  /// and the flat compiled evaluator for EvaluateNow and the ◇-free bitmask
-  /// fast path. Off reproduces the from-scratch reference behavior —
-  /// histories are identical either way (equivalence property tests pin
-  /// this); the switch exists for those tests and for the before/after
-  /// benchmarks.
-  bool symbolic_caches = true;
   /// Estimated bytes per runtime message, for network accounting.
   size_t message_bytes = 48;
   /// Tuning for the reliable-delivery layer every protocol message rides
@@ -45,10 +36,12 @@ struct GuardSchedulerOptions {
   /// When set, every occurrence is appended (stamp + literal) before it is
   /// announced; GuardScheduler::Recover replays such a log after a crash.
   EventLog* durable_log = nullptr;
-  /// When set, "sched.*" counters and histograms report into this registry;
-  /// otherwise a private registry backs stats(). Installing a registry (or
-  /// a tracer) also enables the per-attempt lifecycle instrumentation
-  /// (decision latency, parked depth, guard-reduction steps).
+  /// When set, "sched.*" counters and histograms (and the context's
+  /// guards.reduction_cache_* counters) report into this registry;
+  /// otherwise into a private one, read through metrics(). Installing a
+  /// registry (or a tracer) also enables the per-attempt lifecycle
+  /// instrumentation (decision latency, parked depth, guard-reduction
+  /// steps).
   obs::MetricsRegistry* metrics = nullptr;
   /// When set, records event-lifecycle spans (attempt → parked →
   /// enabled/rejected), occurrence instants, per-kind protocol sends, and
@@ -75,21 +68,6 @@ struct GuardSchedulerOptions {
   /// engine does so on its throughput path, where thousands of instance
   /// schedulers share one shard registry.
   bool lifecycle_instrumentation = true;
-};
-
-/// Message-kind breakdown of the runtime traffic (the paper's message
-/// protocol of §4.3: occurrence announcements, promises, promise requests,
-/// and proactive triggers). Snapshot view assembled from the metrics
-/// registry, kept for source compatibility; the registry is ground truth.
-struct GuardSchedulerStats {
-  uint64_t announcements = 0;
-  uint64_t promises = 0;
-  uint64_t promise_requests = 0;
-  uint64_t triggers = 0;
-
-  uint64_t total() const {
-    return announcements + promises + promise_requests + triggers;
-  }
 };
 
 /// The paper's contribution: the distributed, event-centric scheduler
@@ -148,9 +126,9 @@ class GuardScheduler : public Scheduler, public ActorHost {
   EventActor* actor(SymbolId symbol);
   size_t parked_count() const;
   size_t violations() const { return violations_; }
-  /// Message-kind counters, read out of the metrics registry.
-  GuardSchedulerStats stats() const;
-  /// The registry the "sched.*" metrics report into (installed or private).
+  /// The registry the "sched.*" metrics report into (installed or private),
+  /// including the per-kind protocol traffic of §4.3: sched.msgs.announce,
+  /// .promise, .promise_request and .trigger.
   obs::MetricsRegistry* metrics() const { return metrics_; }
   obs::TraceRecorder* tracer() const { return tracer_; }
   /// The guard profiler evaluations report into, or nullptr.
@@ -210,14 +188,6 @@ class GuardScheduler : public Scheduler, public ActorHost {
   }
   bool MayTrigger(EventLiteral literal) const override;
   bool PromisesEnabled() const override { return options_.enable_promises; }
-  GuardArena* guard_arena() override { return ctx_->guards(); }
-  Residuator* residuator() override { return ctx_->residuator(); }
-  ReductionCache* reduction_cache() override {
-    return options_.symbolic_caches ? ctx_->reduction_cache() : nullptr;
-  }
-  FlatEvaluator* flat_evaluator() override {
-    return options_.symbolic_caches ? ctx_->flat_evaluator() : nullptr;
-  }
 
  private:
   /// Shared constructor body: resolves metric handles and installs the
@@ -280,7 +250,7 @@ class GuardScheduler : public Scheduler, public ActorHost {
   /// per-attempt wrapping that costs an allocation per attempt.
   bool observe_lifecycle_ = false;
   obs::ActorObs actor_obs_;
-  /// Message-kind counters (always on; they replace the old stats_ struct).
+  /// Message-kind counters (always on).
   obs::Counter* sent_announcements_ = nullptr;
   obs::Counter* sent_promises_ = nullptr;
   obs::Counter* sent_promise_requests_ = nullptr;

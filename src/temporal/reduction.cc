@@ -3,57 +3,66 @@
 namespace cdes {
 namespace {
 
-template <bool kCount>
-const Guard* ReduceOnOccurred(GuardArena* arena, Residuator* residuator,
-                              const Guard* g, EventLiteral l,
-                              uint64_t* nodes) {
-  if constexpr (kCount) ++*nodes;
-  switch (g->kind()) {
-    case GuardKind::kFalse:
-    case GuardKind::kTrue:
-      return g;
-    case GuardKind::kBox:
-      if (g->literal() == l) return arena->True();
-      if (g->literal() == l.Complemented()) return arena->False();
-      return g;
-    case GuardKind::kNeg:
-      if (g->literal() == l) return arena->False();
-      if (g->literal() == l.Complemented()) return arena->True();
-      return g;
-    case GuardKind::kDiamond:
-      return arena->Diamond(residuator->Residuate(g->expr(), l));
-    case GuardKind::kAnd:
-    case GuardKind::kOr: {
+/// The §4.3 reduction walk, one instantiation per announcement kind and
+/// per counting mode (the plain instantiations compile without the node
+/// counter, so profiling off costs nothing). With `cache` non-null,
+/// composite nodes (◇/+/|) probe it before reducing and store after;
+/// □/¬/constants are a couple of compares — cheaper than the probe — and
+/// are always computed inline. Cached and plain walks return the same
+/// pointer: both intern through the same arenas, and the cache only ever
+/// stores the walk's own outputs.
+template <AnnouncementKind kKind, bool kCount>
+struct Walk {
+  static constexpr bool kPromised = kKind == AnnouncementKind::kPromised;
+
+  GuardArena* arena;
+  Residuator* residuator;
+  EventLiteral l;
+  ReductionCache* cache;
+  uint64_t* nodes;
+
+  const Guard* Reduce(const Guard* g) const {
+    if constexpr (kCount) ++*nodes;
+    switch (g->kind()) {
+      case GuardKind::kFalse:
+      case GuardKind::kTrue:
+        return g;
+      case GuardKind::kBox:
+        // A promise of ℓ rules ℓ̄ out forever but does not make ℓ occurred.
+        if (!kPromised && g->literal() == l) return arena->True();
+        if (g->literal() == l.Complemented()) return arena->False();
+        return g;
+      case GuardKind::kNeg:
+        if (!kPromised && g->literal() == l) return arena->False();
+        if (g->literal() == l.Complemented()) return arena->True();
+        return g;
+      case GuardKind::kDiamond:
+      case GuardKind::kAnd:
+      case GuardKind::kOr:
+        break;
+    }
+    uint64_t ann = ReductionCache::KeyOf({kKind, l});
+    if (cache != nullptr) {
+      if (const Guard* memo = cache->Find(g, ann)) return memo;
+    }
+    const Guard* result;
+    if (g->kind() == GuardKind::kDiamond) {
+      result = ReduceDiamond(g->expr());
+    } else {
       std::vector<const Guard*> kids;
       kids.reserve(g->children().size());
-      for (const Guard* c : g->children()) {
-        kids.push_back(ReduceOnOccurred<kCount>(arena, residuator, c, l,
-                                                nodes));
-      }
-      return g->kind() == GuardKind::kAnd ? arena->And(kids)
-                                          : arena->Or(kids);
+      for (const Guard* c : g->children()) kids.push_back(Reduce(c));
+      result =
+          g->kind() == GuardKind::kAnd ? arena->And(kids) : arena->Or(kids);
     }
+    if (cache != nullptr) cache->Store(g, ann, result);
+    return result;
   }
-  return g;
-}
 
-template <bool kCount>
-const Guard* ReduceOnPromised(GuardArena* arena, const Guard* g,
-                              EventLiteral l, uint64_t* nodes) {
-  if constexpr (kCount) ++*nodes;
-  switch (g->kind()) {
-    case GuardKind::kFalse:
-    case GuardKind::kTrue:
-      return g;
-    case GuardKind::kBox:
-      // A promise of ℓ rules ℓ̄ out forever but does not make ℓ occurred.
-      if (g->literal() == l.Complemented()) return arena->False();
-      return g;
-    case GuardKind::kNeg:
-      if (g->literal() == l.Complemented()) return arena->True();
-      return g;
-    case GuardKind::kDiamond: {
-      const Expr* e = g->expr();
+  const Guard* ReduceDiamond(const Expr* e) const {
+    if constexpr (!kPromised) {
+      return arena->Diamond(residuator->Residuate(e, l));
+    } else {
       if (e->IsAtom() && e->literal() == l) return arena->True();
       // An Or alternative consisting of exactly the promised atom will be
       // satisfied eventually.
@@ -63,79 +72,24 @@ const Guard* ReduceOnPromised(GuardArena* arena, const Guard* g,
         }
       }
       // Branches that require ℓ̄ can never be satisfied any more.
-      const Expr* pruned =
-          PruneImpossibleLiteral(arena->exprs(), e, l.Complemented());
-      return arena->Diamond(pruned);
-    }
-    case GuardKind::kAnd:
-    case GuardKind::kOr: {
-      std::vector<const Guard*> kids;
-      kids.reserve(g->children().size());
-      for (const Guard* c : g->children()) {
-        kids.push_back(ReduceOnPromised<kCount>(arena, c, l, nodes));
-      }
-      return g->kind() == GuardKind::kAnd ? arena->And(kids)
-                                          : arena->Or(kids);
+      return arena->Diamond(
+          PruneImpossibleLiteral(arena->exprs(), e, l.Complemented()));
     }
   }
-  return g;
-}
+};
 
-/// The memoizing mirror of the two walks above. Composite nodes (◇/+/|)
-/// probe the cache before reducing and store after; □/¬/constants are a
-/// couple of compares — cheaper than the probe — and are computed inline.
-/// Results are bit-identical to the plain walk: both intern through the
-/// same arenas and the cache only ever stores the walk's own outputs.
-template <bool kPromised>
-const Guard* ReduceCached(GuardArena* arena, Residuator* residuator,
-                          const Guard* g, EventLiteral l, uint64_t ann,
-                          ReductionCache* cache) {
-  switch (g->kind()) {
-    case GuardKind::kFalse:
-    case GuardKind::kTrue:
-      return g;
-    case GuardKind::kBox:
-      if constexpr (kPromised) {
-        if (g->literal() == l.Complemented()) return arena->False();
-        return g;
-      } else {
-        if (g->literal() == l) return arena->True();
-        if (g->literal() == l.Complemented()) return arena->False();
-        return g;
-      }
-    case GuardKind::kNeg:
-      if constexpr (kPromised) {
-        if (g->literal() == l.Complemented()) return arena->True();
-        return g;
-      } else {
-        if (g->literal() == l) return arena->False();
-        if (g->literal() == l.Complemented()) return arena->True();
-        return g;
-      }
-    case GuardKind::kDiamond:
-    case GuardKind::kAnd:
-    case GuardKind::kOr:
-      break;
+template <bool kCount>
+const Guard* Reduce(GuardArena* arena, Residuator* residuator, const Guard* g,
+                    const Announcement& announcement, ReductionCache* cache,
+                    uint64_t* nodes) {
+  if (announcement.kind == AnnouncementKind::kOccurred) {
+    return Walk<AnnouncementKind::kOccurred, kCount>{
+        arena, residuator, announcement.literal, cache, nodes}
+        .Reduce(g);
   }
-  if (const Guard* memo = cache->Find(g, ann)) return memo;
-  const Guard* result;
-  if (g->kind() == GuardKind::kDiamond) {
-    if constexpr (kPromised) {
-      result = ReduceOnPromised<false>(arena, g, l, nullptr);
-    } else {
-      result = arena->Diamond(residuator->Residuate(g->expr(), l));
-    }
-  } else {
-    std::vector<const Guard*> kids;
-    kids.reserve(g->children().size());
-    for (const Guard* c : g->children()) {
-      kids.push_back(ReduceCached<kPromised>(arena, residuator, c, l, ann,
-                                             cache));
-    }
-    result = g->kind() == GuardKind::kAnd ? arena->And(kids) : arena->Or(kids);
-  }
-  cache->Store(g, ann, result);
-  return result;
+  return Walk<AnnouncementKind::kPromised, kCount>{
+      arena, residuator, announcement.literal, cache, nodes}
+      .Reduce(g);
 }
 
 }  // namespace
@@ -143,31 +97,14 @@ const Guard* ReduceCached(GuardArena* arena, Residuator* residuator,
 const Guard* ReduceGuard(GuardArena* arena, Residuator* residuator,
                          const Guard* g, const Announcement& announcement,
                          ReductionCache* cache) {
-  if (cache != nullptr) {
-    uint64_t ann = ReductionCache::KeyOf(announcement);
-    if (announcement.kind == AnnouncementKind::kOccurred) {
-      return ReduceCached<false>(arena, residuator, g, announcement.literal,
-                                 ann, cache);
-    }
-    return ReduceCached<true>(arena, residuator, g, announcement.literal, ann,
-                              cache);
-  }
-  if (announcement.kind == AnnouncementKind::kOccurred) {
-    return ReduceOnOccurred<false>(arena, residuator, g, announcement.literal,
-                                   nullptr);
-  }
-  return ReduceOnPromised<false>(arena, g, announcement.literal, nullptr);
+  return Reduce<false>(arena, residuator, g, announcement, cache, nullptr);
 }
 
 const Guard* ReduceGuardCounted(GuardArena* arena, Residuator* residuator,
                                 const Guard* g,
                                 const Announcement& announcement,
                                 uint64_t* nodes) {
-  if (announcement.kind == AnnouncementKind::kOccurred) {
-    return ReduceOnOccurred<true>(arena, residuator, g, announcement.literal,
-                                  nodes);
-  }
-  return ReduceOnPromised<true>(arena, g, announcement.literal, nodes);
+  return Reduce<true>(arena, residuator, g, announcement, nullptr, nodes);
 }
 
 const Guard* CommitNow(GuardArena* arena, const Guard* g) {

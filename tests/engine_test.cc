@@ -1,6 +1,7 @@
 // Tests for the multi-instance workflow engine (src/engine): sharded
 // execution, determinism across shard counts, admission backpressure,
-// durable-log recovery (including torn tails), and the metrics snapshot.
+// durable-log recovery (including torn tails), WAL error reporting, and
+// the metrics snapshot.
 // The TSan stress cases at the bottom run under the CI thread-sanitizer job.
 
 #include <algorithm>
@@ -8,6 +9,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <set>
 #include <string>
@@ -633,6 +635,62 @@ TEST(EngineTest, RecoverDirOnMissingDirectoryFails) {
   opts.shards = 1;
   Engine eng(TravelSpec(), opts);
   EXPECT_FALSE(eng.RecoverDir("/nonexistent/cdes/wal").ok());
+}
+
+// A directory squatting on a path the WAL must write makes that write fail
+// even for root, which ignores file permissions.
+TEST(ShardWalTest, FlushAllFlushesEveryInstanceAndReportsFailures) {
+  const std::string dir = ::testing::TempDir() + "cdes_wal_flushall";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  WalOptions wopts;
+  wopts.dir = dir;
+  wopts.group_commit_records = 100;
+  ShardWal wal(wopts);
+  for (uint64_t id : {1, 2, 3}) ASSERT_TRUE(wal.Create(id, "h\n").ok());
+  // Instances 1 and 2 can no longer be appended to.
+  for (uint64_t id : {1, 2}) {
+    std::filesystem::remove(wal.PathFor(id));
+    std::filesystem::create_directory(wal.PathFor(id));
+  }
+  for (uint64_t id : {1, 2, 3}) wal.Append(id, "r\n");
+  std::vector<uint64_t> failed;
+  EXPECT_FALSE(wal.FlushAll(&failed).ok());
+  EXPECT_EQ(failed, (std::vector<uint64_t>{1, 2}));
+  // The first failure did not stop the flush of instance 3...
+  std::ifstream in(wal.PathFor(3));
+  std::string content((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+  EXPECT_EQ(content, "h\nr\n");
+  // ...and the failed buffers are kept for a retry.
+  EXPECT_EQ(wal.pending_appends(), 2u);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(EngineTest, WalCreateFailureFailsOnlyThatInstance) {
+  const std::string dir = ::testing::TempDir() + "cdes_wal_create_fail";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir + "/1.log.tmp");
+  EngineOptions opts;
+  opts.shards = 1;
+  opts.wal_dir = dir;
+  Engine eng(TravelSpec(), opts);
+  for (size_t i = 0; i < 3; ++i) ASSERT_TRUE(eng.Submit(ScriptFor(i)).ok());
+  eng.Drain();
+  eng.Stop();
+  std::map<uint64_t, InstanceResult> results = ById(eng.TakeResults());
+  ASSERT_EQ(results.size(), 3u);
+  EXPECT_NE(results[1].error.find("wal: "), std::string::npos)
+      << results[1].error;
+  EXPECT_FALSE(results[1].consistent);
+  for (uint64_t id : {0, 2}) {
+    EXPECT_TRUE(results[id].error.empty()) << id << ": " << results[id].error;
+    EXPECT_TRUE(results[id].consistent) << id;
+  }
+  auto errors = eng.shard_metrics(0).counters().find("engine.wal.errors");
+  ASSERT_NE(errors, eng.shard_metrics(0).counters().end());
+  EXPECT_EQ(errors->second->value(), 1u);
+  std::filesystem::remove_all(dir);
 }
 
 // ---- TSan stress: run under the CI thread-sanitizer job ----

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "sched/guard_scheduler.h"
 #include "spec/parser.h"
 #include "temporal/guard.h"
+#include "temporal/reduction.h"
 
 namespace cdes {
 namespace {
@@ -328,7 +330,9 @@ TEST(AnnouncementOrderingTest, HoldBackQueueAssimilatesInStampOrder) {
   // □ announcements delivered out of occurrence order — and duplicated —
   // must reduce an actor's guard exactly as in-order single delivery does:
   // the hold-back queue replays occurrences in stamp order, and a repeated
-  // announcement of the same literal is dropped at assimilation.
+  // announcement of the same literal is dropped at assimilation. The
+  // actor's heard residual must also equal the plain in-order ReduceGuard
+  // fold of the compiled guard — the §4.3 reduction, with no memo.
   auto reduced_guard = [](const std::vector<std::pair<const char*, int>>&
                               deliveries) {
     NetworkOptions nopts;
@@ -337,12 +341,26 @@ TEST(AnnouncementOrderingTest, HoldBackQueueAssimilatesInStampOrder) {
     auto f = w.ctx.alphabet()->ParseLiteral("f");
     CDES_CHECK(f.ok());
     EventActor* actor = w.sched->actor(f.value().symbol());
+    std::map<int, EventLiteral> in_stamp_order;
     for (const auto& [name, seq] : deliveries) {
       auto lit = w.ctx.alphabet()->ParseLiteral(name);
       CDES_CHECK(lit.ok());
       actor->Receive(
           Announce(lit.value(), static_cast<SimTime>(100 * seq), seq));
       w.sim.Run();
+      // Checked after every delivery, so the actor's memoized prefix fold
+      // is extended before a late (earlier-stamped) arrival must truncate
+      // it.
+      in_stamp_order.emplace(seq, lit.value());
+      const Guard* expected = w.sched->CompiledGuardOf(f.value());
+      for (const auto& [stamp_seq, heard] : in_stamp_order) {
+        expected = ReduceGuard(w.ctx.guards(), w.ctx.residuator(), expected,
+                               {AnnouncementKind::kOccurred, heard});
+      }
+      EXPECT_EQ(actor->HeardResidual(f.value()), expected)
+          << GuardToString(actor->HeardResidual(f.value()),
+                           *w.ctx.alphabet())
+          << " vs " << GuardToString(expected, *w.ctx.alphabet());
     }
     return GuardToString(actor->CurrentGuard(f.value()), *w.ctx.alphabet());
   };

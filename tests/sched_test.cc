@@ -168,10 +168,13 @@ workflow mutual {
   EXPECT_TRUE(w.sched->HistoryConsistent(true));
   // Message breakdown of the handshake: each side requests a promise,
   // each grants one, each announces its occurrence to the other.
-  EXPECT_EQ(w.sched->stats().promise_requests, 2u);
-  EXPECT_EQ(w.sched->stats().promises, 2u);
-  EXPECT_EQ(w.sched->stats().announcements, 2u);
-  EXPECT_EQ(w.sched->stats().triggers, 0u);
+  auto sent = [&](const char* kind) {
+    return w.sched->metrics()->counter(StrCat("sched.msgs.", kind))->value();
+  };
+  EXPECT_EQ(sent("promise_request"), 2u);
+  EXPECT_EQ(sent("promise"), 2u);
+  EXPECT_EQ(sent("announce"), 2u);
+  EXPECT_EQ(sent("trigger"), 0u);
 }
 
 TEST(GuardSchedulerTest, MutualImplicationDeadlocksWithoutPromises) {

@@ -1,8 +1,9 @@
-// Equivalence properties of the symbolic caches (PR 9): flat compiled
-// evaluation, the shard-shared ReductionCache, the incremental prefix-fold
-// replay, and the model checker's cached mode are *optimizations* — every
-// observable (evaluation verdicts, reduced-guard identities, scheduler
-// histories, checker findings) must be identical with them on and off.
+// Equivalence properties of the symbolic caches: flat compiled evaluation
+// and the shard-shared ReductionCache are *optimizations* — evaluation
+// verdicts and reduced-guard identities must match the plain recursive
+// walks, which serve as the reference implementations here. (Runtime
+// histories and checker findings are pinned to the paper's declarative
+// semantics instead, in model_checker_test and failure_injection_test.)
 // Everything here runs over hundreds of random specs so the equivalences
 // are exercised across guard shapes no hand-written case would cover.
 
@@ -12,23 +13,16 @@
 #include <vector>
 
 #include "algebra/generator.h"
-#include "algebra/trace.h"
-#include "analysis/model_checker.h"
 #include "common/rng.h"
 #include "common/strings.h"
+#include "guards/workflow.h"
+#include "obs/metrics.h"
 #include "runtime/event_actor.h"
-#include "sched/guard_scheduler.h"
-#include "spec/parser.h"
 #include "temporal/flat_eval.h"
 #include "temporal/reduction.h"
 
 namespace cdes {
 namespace {
-
-using analysis::CheckResult;
-using analysis::CheckWorkflow;
-using analysis::ModelCheckOptions;
-using analysis::Rule;
 
 std::vector<const Expr*> RandomDeps(WorkflowContext* ctx, Rng* rng,
                                     size_t symbols, size_t count) {
@@ -153,130 +147,6 @@ TEST(SymbolicCacheTest, CachedReductionIsPointerIdentical) {
   // Only composite (◇/∧/∨) nodes are memoized — atoms are cheaper than the
   // probe — so not every seed produces traffic, but the corpus must.
   EXPECT_GT(traffic, 0u);
-}
-
-// ------------------------------- scheduler histories: memoized ≡ scratch
-
-// The full runtime path — announcement assimilation, hold-back replay via
-// prefix folds, flat evaluation, the ◇-free fast path — must produce
-// *bitwise-identical* histories with the caches on and off, for the same
-// attempt plan on the same deterministic network.
-TEST(SymbolicCacheTest, SchedulerHistoriesAreBitwiseIdentical) {
-  constexpr size_t kSymbols = 4;
-  size_t driven = 0;
-  for (uint64_t seed = 1; seed <= 200; ++seed) {
-    WorkflowContext gen_ctx;
-    for (size_t i = 0; i < kSymbols; ++i) {
-      gen_ctx.alphabet()->Intern(StrCat("e", i));
-    }
-    Rng rng(seed * 131 + 7);
-    std::string text = "workflow rnd {\n  agent a @ site(0);\n";
-    for (size_t i = 0; i < kSymbols; ++i) {
-      text += StrCat("  event e", i, " agent(a);\n");
-    }
-    size_t d = 0;
-    for (const Expr* expr : RandomDeps(&gen_ctx, &rng, kSymbols, 2)) {
-      text += StrCat("  dep d", d++, ": ",
-                     ExprToString(expr, *gen_ctx.alphabet()), ";\n");
-    }
-    text += "}\n";
-
-    // The attempt plan is drawn once, then replayed against both modes.
-    std::vector<std::string> plan;
-    for (size_t i = 0; i < kSymbols; ++i) {
-      if (rng.Next() % 2 == 0) plan.push_back(StrCat("e", i));
-    }
-
-    auto drive = [&](bool symbolic_caches, Trace* history_out,
-                     bool* consistent_out) -> bool {
-      WorkflowContext ctx;
-      auto parsed = ParseWorkflow(&ctx, text);
-      if (!parsed.ok()) return false;
-      Simulator sim;
-      NetworkOptions nopts;
-      nopts.base_latency = 50;
-      nopts.seed = seed;
-      Network network(&sim, 4, nopts);
-      GuardSchedulerOptions options;
-      options.symbolic_caches = symbolic_caches;
-      GuardScheduler sched(&ctx, parsed.value(), &network, options);
-      for (const std::string& name : plan) {
-        auto lit = ctx.alphabet()->ParseLiteral(name);
-        if (!lit.ok()) return false;
-        sched.Attempt(lit.value(), AttemptCallback());
-        sim.Run();
-      }
-      for (int round = 0; round < 8 && !sched.Undecided().empty(); ++round) {
-        sched.Close();
-        sim.Run();
-      }
-      *history_out = sched.history();
-      *consistent_out = sched.HistoryConsistent(true);
-      return true;
-    };
-
-    Trace memoized, scratch;
-    bool memoized_consistent = false, scratch_consistent = false;
-    if (!drive(true, &memoized, &memoized_consistent)) continue;
-    ASSERT_TRUE(drive(false, &scratch, &scratch_consistent)) << seed;
-    ASSERT_EQ(memoized, scratch)
-        << "seed " << seed << "\nmemoized: "
-        << TraceToString(memoized, *gen_ctx.alphabet()) << "\nscratch:  "
-        << TraceToString(scratch, *gen_ctx.alphabet()) << "\n" << text;
-    EXPECT_EQ(memoized_consistent, scratch_consistent) << seed;
-    ++driven;
-  }
-  EXPECT_GT(driven, 100u);
-}
-
-// ------------------------------------ model checker: cached ≡ uncached
-
-// The exhaustive checker must report identical findings *and* identical
-// exploration stats (the caches change per-state cost, never the canonical
-// state graph) with symbolic_caches on and off.
-TEST(SymbolicCacheTest, ModelCheckerFindingsAreIdentical) {
-  constexpr size_t kSymbols = 4;
-  size_t checked = 0;
-  for (uint64_t seed = 1; seed <= 300; ++seed) {
-    WorkflowContext ctx;
-    for (size_t i = 0; i < kSymbols; ++i) {
-      ctx.alphabet()->Intern(StrCat("e", i));
-    }
-    Rng rng(seed * 977 + 11);
-    ParsedWorkflow w;
-    w.name = "rnd";
-    size_t d = 0;
-    for (const Expr* expr : RandomDeps(&ctx, &rng, kSymbols, 2)) {
-      w.spec.Add(StrCat("d", d++), expr);
-    }
-    if (CompileWorkflow(&ctx, w.spec).impossible()) continue;
-    ModelCheckOptions cached;
-    cached.symbolic_caches = true;
-    ModelCheckOptions uncached;
-    uncached.symbolic_caches = false;
-    CheckResult with = CheckWorkflow(&ctx, w, cached);
-    CheckResult without = CheckWorkflow(&ctx, w, uncached);
-    ASSERT_FALSE(with.stats.bounded) << seed;
-    ASSERT_FALSE(without.stats.bounded) << seed;
-    ASSERT_EQ(with.diagnostics.size(), without.diagnostics.size()) << seed;
-    for (size_t i = 0; i < with.diagnostics.size(); ++i) {
-      EXPECT_EQ(with.diagnostics[i].rule, without.diagnostics[i].rule)
-          << seed;
-      EXPECT_EQ(with.diagnostics[i].message, without.diagnostics[i].message)
-          << seed;
-    }
-    EXPECT_EQ(with.stats.states_explored, without.stats.states_explored)
-        << seed;
-    EXPECT_EQ(with.stats.transitions, without.stats.transitions) << seed;
-    EXPECT_EQ(with.stats.maximal_states, without.stats.maximal_states)
-        << seed;
-    EXPECT_EQ(with.stats.accepted_states, without.stats.accepted_states)
-        << seed;
-    EXPECT_EQ(with.stats.deadlock_states, without.stats.deadlock_states)
-        << seed;
-    ++checked;
-  }
-  EXPECT_GT(checked, 100u);
 }
 
 // ----------------------------------------------------- counter plumbing
