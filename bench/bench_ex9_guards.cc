@@ -13,8 +13,6 @@
 #include "common/strings.h"
 #include "guards/context.h"
 #include "guards/workflow.h"
-#include "runtime/event_actor.h"
-#include "temporal/flat_eval.h"
 #include "temporal/reduction.h"
 #include "temporal/simplify.h"
 #include "bench_util.h"
@@ -214,23 +212,23 @@ void BM_EvaluateNowRecursive(benchmark::State& state) {
   SteadyStateFixture fx;
   const Guard* g = fx.guards.back();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(EventActor::EvaluateNow(g));
+    benchmark::DoNotOptimize(EvaluateNow(g));
   }
-  state.SetLabel("recursive walk (pre-PR)");
+  state.SetLabel("recursive walk, no memo");
 }
 BENCHMARK(BM_EvaluateNowRecursive);
 
-void BM_EvaluateNowFlat(benchmark::State& state) {
+void BM_EvaluateNowMemoized(benchmark::State& state) {
   SteadyStateFixture fx;
   const Guard* g = fx.guards.back();
-  FlatEvaluator flat;
-  flat.EvaluateNow(g);  // lower + memoize once
+  ProjectionCache memo;
+  memo.EvaluateNow(g);  // memoize once
   for (auto _ : state) {
-    benchmark::DoNotOptimize(flat.EvaluateNow(g));
+    benchmark::DoNotOptimize(memo.EvaluateNow(g));
   }
-  state.SetLabel("compiled flat program, memoized");
+  state.SetLabel("shard-shared ProjectionCache, memoized");
 }
-BENCHMARK(BM_EvaluateNowFlat);
+BENCHMARK(BM_EvaluateNowMemoized);
 
 /// Chrono-measured steady-state comparison exported into BENCH_ex9_guards
 /// .json, so CI can diff the cached/uncached ratio without scraping the

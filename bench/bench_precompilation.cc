@@ -10,7 +10,6 @@
 #include <chrono>
 
 #include "bench_util.h"
-#include "runtime/event_actor.h"
 #include "temporal/reduction.h"
 
 namespace cdes {
@@ -46,7 +45,7 @@ void PrintAmortization() {
       g = ReduceGuard(ctx.guards(), ctx.residuator(), g,
                       {AnnouncementKind::kOccurred, l});
     }
-    benchmark::DoNotOptimize(EventActor::EvaluateNow(g));
+    benchmark::DoNotOptimize(EvaluateNow(g));
   }
   auto t3 = Clock::now();
   double reduce_us =
@@ -134,7 +133,7 @@ void BM_RuntimeEvaluateNow(benchmark::State& state) {
   const Guard* guard =
       compiled.GuardFor(ctx.alphabet()->ParseLiteral("c_book").value());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(EventActor::EvaluateNow(guard));
+    benchmark::DoNotOptimize(EvaluateNow(guard));
   }
 }
 BENCHMARK(BM_RuntimeEvaluateNow);

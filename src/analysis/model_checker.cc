@@ -341,7 +341,8 @@ class ModelChecker {
                         Announcement{AnnouncementKind::kOccurred, step},
                         ctx_->reduction_cache());
       }
-      const Guard* commit = ctx_->flat_evaluator()->Commit(ctx_->guards(), g);
+      const Guard* commit =
+          ctx_->projection_cache()->CommitNow(ctx_->guards(), g);
       if (commit->IsFalse()) return static_cast<int>(dep);
     }
     return -1;

@@ -81,7 +81,7 @@ const Guard* StateSpace::Commitment(const CheckState& s,
   size_t i = SymbolIndex(lit.symbol());
   CDES_DCHECK(!(s.decided >> i & 1));
   const Guard* g = s.guards[2 * i + lit.complemented()];
-  return ctx_->flat_evaluator()->Commit(ctx_->guards(), g);
+  return ctx_->projection_cache()->CommitNow(ctx_->guards(), g);
 }
 
 CheckState StateSpace::Successor(const CheckState& s, EventLiteral lit) const {
@@ -100,7 +100,7 @@ CheckState StateSpace::Successor(const CheckState& s, EventLiteral lit) const {
     // Freeze the fired literal's permission and fold it into the path
     // commitment; the fired literal itself counts toward its own ◇-part
     // (◇ is evaluated against the full maximal trace).
-    const Guard* frozen = ctx_->flat_evaluator()->Commit(
+    const Guard* frozen = ctx_->projection_cache()->CommitNow(
         arena, s.guards[2 * i + lit.complemented()]);
     child.commitment = ReduceGuard(arena, residuator,
                                    arena->And(s.commitment, frozen), occurred,

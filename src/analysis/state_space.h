@@ -65,7 +65,7 @@ class StateSpace {
  public:
   /// Aliases `ctx` and `compiled`; both must outlive the state space.
   /// Guard reduction goes through the context's shared ReductionCache and
-  /// CommitNow through its flat evaluator's memo.
+  /// CommitNow through its ProjectionCache.
   StateSpace(WorkflowContext* ctx, const CompiledWorkflow& compiled);
 
   /// The workflow's symbols in id order; state bit i refers to symbols()[i].

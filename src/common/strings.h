@@ -1,6 +1,7 @@
 #ifndef CDES_COMMON_STRINGS_H_
 #define CDES_COMMON_STRINGS_H_
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -37,6 +38,11 @@ std::string_view StripWhitespace(std::string_view text);
 
 /// True if `text` starts with `prefix`.
 bool StartsWith(std::string_view text, std::string_view prefix);
+
+/// Parses `text` as a non-empty run of decimal digits. Returns false, and
+/// leaves `*out` untouched, on any other character or when the value does
+/// not fit in 64 bits — it never wraps.
+bool ParseU64(std::string_view text, uint64_t* out);
 
 }  // namespace cdes
 

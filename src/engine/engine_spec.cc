@@ -32,20 +32,7 @@ Result<std::shared_ptr<const EngineSpec>> EngineSpec::FromText(
   return std::shared_ptr<const EngineSpec>(std::move(spec));
 }
 
-Result<std::shared_ptr<const EngineSpec>> EngineSpec::FromTemplate(
-    WorkflowTemplate tpl) {
-  auto spec = std::shared_ptr<EngineSpec>(new EngineSpec());
-  spec->template_.emplace(std::move(tpl));
-  WorkflowContext scratch;
-  CDES_ASSIGN_OR_RETURN(ParsedWorkflow parsed,
-                        spec->template_->InstantiateCanonical(&scratch));
-  spec->name_ = parsed.name;
-  spec->site_count_ = SiteCountOf(parsed);
-  return std::shared_ptr<const EngineSpec>(std::move(spec));
-}
-
 Result<ParsedWorkflow> EngineSpec::Materialize(WorkflowContext* ctx) const {
-  if (template_.has_value()) return template_->InstantiateCanonical(ctx);
   return ParseWorkflow(ctx, text_);
 }
 

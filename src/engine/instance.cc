@@ -65,11 +65,6 @@ Status InstanceManager::AdmitRecovered(uint64_t id) {
   return Status::OK();
 }
 
-void InstanceManager::ReserveThrough(uint64_t id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (id >= next_id_) next_id_ = id + 1;
-}
-
 void InstanceManager::Drain() {
   std::unique_lock<std::mutex> lock(mu_);
   drained_cv_.wait(lock, [this] { return completed_ == submitted_; });

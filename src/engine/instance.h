@@ -101,9 +101,6 @@ class InstanceManager {
   /// flight (blocking on the admission limit) and ensures future Admit
   /// calls allocate strictly above it.
   Status AdmitRecovered(uint64_t id);
-  /// Ensures future Admit calls allocate ids strictly above `id` (recovery
-  /// re-registers previously issued ids).
-  void ReserveThrough(uint64_t id);
   /// Blocks until every admitted instance has completed.
   void Drain();
 

@@ -5,7 +5,6 @@
 #include "algebra/expr.h"
 #include "algebra/residuation.h"
 #include "guards/synthesis.h"
-#include "temporal/flat_eval.h"
 #include "temporal/guard.h"
 #include "temporal/reduction.h"
 
@@ -42,9 +41,9 @@ class WorkflowContext {
   /// pass this to ReduceGuard; the cache is correct to share across every
   /// instance built over this context.
   ReductionCache* reduction_cache() { return &reduction_cache_; }
-  /// Flat compiled evaluation over this context's guards: postorder
-  /// programs plus memoized EvaluateNow/CommitNow projections.
-  FlatEvaluator* flat_evaluator() { return &flat_evaluator_; }
+  /// The shard-shared guard → EvaluateNow / CommitNow memo, thread-confined
+  /// with the arenas like the ReductionCache.
+  ProjectionCache* projection_cache() { return &projection_cache_; }
 
  private:
   Alphabet alphabet_;
@@ -53,7 +52,7 @@ class WorkflowContext {
   Residuator residuator_;
   GuardSynthesizer synthesizer_;
   ReductionCache reduction_cache_;
-  FlatEvaluator flat_evaluator_;
+  ProjectionCache projection_cache_;
 };
 
 }  // namespace cdes

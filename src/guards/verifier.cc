@@ -4,7 +4,6 @@
 #include <set>
 
 #include "common/strings.h"
-#include "runtime/event_actor.h"
 #include "temporal/reduction.h"
 
 namespace cdes {
@@ -92,7 +91,7 @@ class Explorer {
       if (decided) continue;
       for (EventLiteral l :
            {EventLiteral::Positive(s), EventLiteral::Complement(s)}) {
-        if (EventActor::EvaluateNow(ReducedGuard(u, l))) out.push_back(l);
+        if (EvaluateNow(ReducedGuard(u, l))) out.push_back(l);
       }
     }
     return out;

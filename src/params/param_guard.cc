@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/strings.h"
-#include "runtime/event_actor.h"
 
 namespace cdes {
 
@@ -228,9 +227,9 @@ bool ParamGuardInstance::EnabledNow() const {
   Result<const Guard*> ground =
       template_.Substitute(fresh_binding).Ground(ctx_);
   CDES_CHECK(ground.ok()) << ground.status();
-  if (!EventActor::EvaluateNow(ground.value())) return false;
+  if (!EvaluateNow(ground.value())) return false;
   for (const auto& [key, guard] : instances_) {
-    if (!EventActor::EvaluateNow(guard)) return false;
+    if (!EvaluateNow(guard)) return false;
   }
   return true;
 }
@@ -238,7 +237,7 @@ bool ParamGuardInstance::EnabledNow() const {
 size_t ParamGuardInstance::blocking_instance_count() const {
   size_t n = 0;
   for (const auto& [key, guard] : instances_) {
-    if (!EventActor::EvaluateNow(guard)) ++n;
+    if (!EvaluateNow(guard)) ++n;
   }
   return n;
 }

@@ -7,17 +7,6 @@
 namespace cdes {
 namespace {
 
-bool ParseU64(std::string_view field, uint64_t* out) {
-  if (field.empty()) return false;
-  uint64_t value = 0;
-  for (char c : field) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<uint64_t>(c - '0');
-  }
-  *out = value;
-  return true;
-}
-
 /// Splits an s-expression into tokens: parentheses and whitespace-delimited
 /// atoms. Literal names cannot contain spaces or parens (the spec parser
 /// forbids them), so no quoting is needed.

@@ -9,33 +9,6 @@
 
 namespace cdes {
 
-bool EventActor::EvaluateNow(const Guard* g) {
-  switch (g->kind()) {
-    case GuardKind::kTrue:
-      return true;
-    case GuardKind::kFalse:
-      return false;
-    case GuardKind::kNeg:
-      // Unreduced ¬ℓ means ℓ has not been heard: true at this instant.
-      return true;
-    case GuardKind::kBox:
-    case GuardKind::kDiamond:
-      // Unreduced □/◇ means the occurrence / guarantee is not yet known.
-      return false;
-    case GuardKind::kAnd:
-      for (const Guard* c : g->children()) {
-        if (!EvaluateNow(c)) return false;
-      }
-      return true;
-    case GuardKind::kOr:
-      for (const Guard* c : g->children()) {
-        if (EvaluateNow(c)) return true;
-      }
-      return false;
-  }
-  return false;
-}
-
 EventActor::EventActor(ActorHost* host, WorkflowContext* ctx, SymbolId symbol,
                        int site,
                        const Guard* positive_guard,
@@ -49,28 +22,12 @@ EventActor::EventActor(ActorHost* host, WorkflowContext* ctx, SymbolId symbol,
       obs_(obs) {}
 
 const Guard* EventActor::HeardResidual(EventLiteral literal) const {
-  std::vector<const Guard*>& chain =
-      literal.complemented() ? neg_chain_ : pos_chain_;
-  if (chain.empty()) chain.push_back(CompiledGuard(literal));
-  // Extend the memoized prefix: only arrivals past the chain's current
-  // length are folded, each exactly once over the actor's lifetime (absent
-  // out-of-order truncation).
-  while (chain.size() <= heard_.size()) {
-    const auto& [stamp, occurred] = heard_[chain.size() - 1];
-    chain.push_back(
-        Reduce(chain.back(), {AnnouncementKind::kOccurred, occurred}));
+  // The stamp-order fold, every step a ReductionCache probe once warm.
+  const Guard* g = CompiledGuard(literal);
+  for (const auto& [stamp, occurred] : heard_) {
+    g = Reduce(g, {AnnouncementKind::kOccurred, occurred});
   }
-  return chain[heard_.size()];
-}
-
-void EventActor::TruncateFoldChains(size_t idx) {
-  // heard_[idx] changed, so folds of prefixes longer than idx are stale;
-  // chain[k] covers heard_[0..k), hence entries up to index idx survive.
-  if (pos_chain_.size() > idx + 1) pos_chain_.resize(idx + 1);
-  if (neg_chain_.size() > idx + 1) neg_chain_.resize(idx + 1);
-  for (Obligation& ob : obligations_) {
-    if (ob.chain.size() > idx + 1) ob.chain.resize(idx + 1);
-  }
+  return g;
 }
 
 const Guard* EventActor::CurrentGuard(EventLiteral literal) const {
@@ -121,24 +78,6 @@ const Guard* EventActor::ReduceContribution(const Guard* g,
                            {AnnouncementKind::kPromised, promised}, nodes);
   }
   return g;
-}
-
-bool EventActor::FastPermitted(EventLiteral literal) const {
-  // The decided-literal bitmask fast path: for a ◇-free compiled guard,
-  // EvaluateNow of the fully assimilated CurrentGuard equals evaluating the
-  // compiled DAG directly against heard-set membership (□ℓ ↦ heard(ℓ),
-  // ¬ℓ ↦ ¬heard(ℓ)) — reduction by an occurrence decides exactly those
-  // atoms, and a promise only ever falsifies □ℓ̄ / verifies ¬ℓ̄, neither of
-  // which flips the optimistic outcome. Guards containing ◇ carry residual
-  // obligations whose discharge depends on fold order and held promises, so
-  // they take the reduced-guard path.
-  if (profile_ != nullptr) return false;
-  FlatEvaluator* flat = ctx_->flat_evaluator();
-  const FlatProgram& p = flat->ProgramFor(CompiledGuard(literal));
-  if (p.has_diamond) return false;
-  return p.EvaluateHeard(
-      [this](EventLiteral l) { return heard_literals_.count(l) != 0; },
-      flat->scratch());
 }
 
 const Guard* EventActor::DischargeDiamonds(const Guard* g) const {
@@ -249,13 +188,8 @@ void EventActor::Attempt(EventLiteral literal, AttemptCallback done) {
                                         : Decision::kRejected);
     return;
   }
-  if (FastPermitted(literal)) {
-    Occur(literal);
-    if (done) done(Decision::kAccepted);
-    return;
-  }
   const Guard* g = CurrentGuard(literal);
-  if (ctx_->flat_evaluator()->EvaluateNow(g)) {
+  if (ctx_->projection_cache()->EvaluateNow(g)) {
     Occur(literal);
     if (done) done(Decision::kAccepted);
     return;
@@ -323,10 +257,6 @@ void EventActor::RestoreBaseline(const Guard* positive, const Guard* negative) {
   // Profiler contributions decompose the *compiled* guards; against a
   // checkpointed baseline they would re-conjoin to the wrong guard.
   profile_ = nullptr;
-  // Fold chains anchor at the (replaced) baseline; drop any chain[0]
-  // initialized through an earlier introspective CurrentGuard call.
-  pos_chain_.clear();
-  neg_chain_.clear();
   ++version_;
 }
 
@@ -341,7 +271,6 @@ void EventActor::Receive(const RuntimeMessage& msg) {
       if (!heard_literals_.insert(msg.literal).second) return;
       auto entry = std::make_pair(msg.stamp, msg.literal);
       auto pos = std::upper_bound(heard_.begin(), heard_.end(), entry);
-      TruncateFoldChains(static_cast<size_t>(pos - heard_.begin()));
       ++version_;
       heard_.insert(pos, entry);
       ReviewObligations();
@@ -396,16 +325,8 @@ void EventActor::Reevaluate() {
   while (changed && !decided_) {
     changed = false;
     for (size_t i = 0; i < parked_.size(); ++i) {
-      if (FastPermitted(parked_[i].literal)) {
-        Parked p = std::move(parked_[i]);
-        parked_.erase(parked_.begin() + i);
-        Occur(p.literal);
-        if (p.done) p.done(Decision::kAccepted);
-        changed = true;
-        break;  // decided_: remaining parked resolved by Occur
-      }
       const Guard* g = CurrentGuard(parked_[i].literal);
-      if (ctx_->flat_evaluator()->EvaluateNow(g)) {
+      if (ctx_->projection_cache()->EvaluateNow(g)) {
         Parked p = std::move(parked_[i]);
         parked_.erase(parked_.begin() + i);
         Occur(p.literal);
@@ -512,7 +433,7 @@ bool EventActor::TryAnswerPromiseRequest(const RuntimeMessage& request) {
     // ¬-atoms are tolerated because, for synthesized guards, an event that
     // could falsify them is itself ordered after us (the verifier's
     // race-freedom property); residual ◇/□-atoms still block the grant.
-    if (!ctx_->flat_evaluator()->EvaluateNow(hypothetical)) return false;
+    if (!ctx_->projection_cache()->EvaluateNow(hypothetical)) return false;
     promises_made_.insert(made);
     // The promise carries order guarantees: our □-obligations and the
     // requester necessarily precede our occurrence.
@@ -560,10 +481,8 @@ bool EventActor::TryAnswerPromiseRequest(const RuntimeMessage& request) {
     after.insert(request.requester);
     promises_made_.insert(made);
     // Adopt the requester's residual as received; ReviewObligations folds
-    // the occurrence log into it in stamp order (through the prefix-fold
-    // chain — see there for why that is safe where a single stored residual
-    // was not).
-    obligations_.push_back(Obligation{request.need, request.literal, {}});
+    // the occurrence log into it in stamp order.
+    obligations_.push_back(Obligation{request.need, request.literal});
     RuntimeMessage promise{RuntimeMessageKind::kPromise, request.literal,
                            OccurrenceStamp{}, EventLiteral(),
                            std::vector<EventLiteral>(after.begin(),
@@ -579,27 +498,20 @@ bool EventActor::TryAnswerPromiseRequest(const RuntimeMessage& request) {
 
 void EventActor::ReviewObligations() {
   if (obligations_.empty()) return;
-  // Each pass needs the obligation residual folded by the occurrence log in
-  // stamp order. Storing a single partially residuated expression and
-  // folding only new arrivals into it would be wrong on an unordered
-  // network: residuation is order-sensitive ((x·y)/y = 0 by rule 7), so an
+  // Each pass refolds the obligation residual by the whole occurrence log
+  // in stamp order. Storing a partially residuated expression and folding
+  // only new arrivals into it would be wrong on an unordered network:
+  // residuation is order-sensitive ((x·y)/y = 0 by rule 7), so an
   // announcement whose stamp precedes one already folded would corrupt the
-  // stored residual permanently. The prefix-fold chain is safe where that
-  // shortcut was not because it memoizes per ordered-prefix *position*:
-  // chain[k] depends only on the first k stamp-ordered entries, and an
-  // out-of-order insertion at index i truncates the chain to i+1 entries
-  // (Receive/TruncateFoldChains) before anything past the insertion point
-  // is reused — so re-evaluation folds only new arrivals while reproducing
-  // the from-scratch stamp-order fold exactly.
+  // stored residual permanently. The refold is cheap: the Residuator
+  // memoizes every (expression, literal) step.
   std::vector<Obligation> remaining;
   std::vector<EventLiteral> to_trigger;
   for (Obligation& ob : obligations_) {
-    if (ob.chain.empty()) ob.chain.push_back(ob.need);
-    while (ob.chain.size() <= heard_.size()) {
-      ob.chain.push_back(ctx_->residuator()->Residuate(
-          ob.chain.back(), heard_[ob.chain.size() - 1].second));
+    const Expr* residual = ob.need;
+    for (const auto& [stamp, occurred] : heard_) {
+      residual = ctx_->residuator()->Residuate(residual, occurred);
     }
-    const Expr* residual = ob.chain[heard_.size()];
     if (residual->IsTop()) continue;  // some alternative materialized
     if (decided_) continue;           // our symbol is settled either way
     const Expr* without_us = PruneImpossibleLiteral(

@@ -81,9 +81,10 @@ struct GuardProfile {
 /// network reorders announcements.
 ///
 /// Evaluation is memoized through `ctx`'s shard-shared symbolic caches:
-/// reductions go through its ReductionCache (a hash probe after first
-/// touch), the heard-announcement fold is kept as a per-polarity prefix
-/// chain, and EvaluateNow runs on its flat evaluator.
+/// every reduction step of the stamp-order fold goes through its
+/// ReductionCache (a hash probe after first touch), EvaluateNow through its
+/// ProjectionCache, and CurrentGuard keeps its last result per polarity
+/// until the actor's knowledge changes.
 class EventActor {
  public:
   /// The compiled guards must live in `ctx`'s arenas. `obs` (optional)
@@ -119,12 +120,6 @@ class EventActor {
   /// checkpoint snapshots exactly these residuals (runtime/checkpoint.h);
   /// because residuation is a left fold, folding the heard prefix here and
   /// the replayed suffix after recovery equals folding the whole history.
-  ///
-  /// Computed through the per-polarity prefix-fold chain. Chains are safe
-  /// to memoize *per ordered-prefix position*: chain[k] depends only on the
-  /// first k stamp-ordered entries, and an out-of-order arrival inserted at
-  /// index i truncates every chain to length i+1 before any entry past the
-  /// insertion point is reused.
   const Guard* HeardResidual(EventLiteral literal) const;
 
   /// Recovery: replaces the compiled baseline guards with checkpoint
@@ -133,13 +128,6 @@ class EventActor {
   /// contributions conjoin to the *compiled* guards and would misattribute
   /// against a checkpointed baseline.
   void RestoreBaseline(const Guard* positive, const Guard* negative);
-
-  /// Whether a reduced guard licenses occurrence *now*: ¬ℓ atoms count as
-  /// true while ℓ is unheard (the event has not yet occurred), whereas
-  /// □/◇ atoms require positive knowledge (an announcement or a promise).
-  /// This optimistic ¬-evaluation is the per-event agreement the paper
-  /// flags in §4.3; see DESIGN.md for the soundness discussion.
-  static bool EvaluateNow(const Guard* g);
 
   /// Attaches per-dependency profiling (nullptr to detach). `profile` must
   /// outlive the actor; its guards must conjoin to this actor's compiled
@@ -161,14 +149,11 @@ class EventActor {
   };
 
   /// A deferred trigger obligation (promise-backed, see
-  /// TryAnswerPromiseRequest): the adopted residual, the literal to trigger
-  /// when it is the only way left, and the memoized prefix-fold chain —
-  /// chain[k] = need residuated by heard_[0..k) (see ReviewObligations for
-  /// the order-safety argument).
+  /// TryAnswerPromiseRequest): the adopted residual and the literal to
+  /// trigger when it is the only way left.
   struct Obligation {
     const Expr* need;
     EventLiteral literal;
-    std::vector<const Expr*> chain;
   };
 
   const Guard* CompiledGuard(EventLiteral literal) const {
@@ -184,16 +169,6 @@ class EventActor {
   /// The heard_/promises_ fold of CurrentGuard over one contribution,
   /// counting visited guard nodes into `*nodes`.
   const Guard* ReduceContribution(const Guard* g, uint64_t* nodes) const;
-
-  /// True when `literal` is licensed right now by the flat bitmask
-  /// evaluation of its ◇-free compiled guard against the heard set —
-  /// firing then needs no symbolic reduction at all. False means "take the
-  /// reduced-guard path", not "not permitted".
-  bool FastPermitted(EventLiteral literal) const;
-
-  /// Drops memoized state invalidated by an announcement inserted at
-  /// heard_ index `idx` (folds of prefixes ≤ idx stay valid).
-  void TruncateFoldChains(size_t idx);
 
   /// Replaces ◇E nodes whose residual is guaranteed by the held ordered
   /// promises with ⊤: every linearization of the promised events that is
@@ -258,10 +233,6 @@ class EventActor {
   // ---- Memoized-evaluation state.
   /// O(1) duplicate-announcement detection (mirror of heard_'s literals).
   std::unordered_set<EventLiteral, EventLiteralHash> heard_literals_;
-  /// Per-polarity prefix-fold chains: chain[k] = compiled guard reduced by
-  /// heard_[0..k) in stamp order (chain[0] is the compiled guard itself).
-  mutable std::vector<const Guard*> pos_chain_;
-  mutable std::vector<const Guard*> neg_chain_;
   /// CurrentGuard results memoized against the knowledge version: any
   /// heard_/promises_ change bumps version_, invalidating both slots.
   /// Indexed by literal polarity.

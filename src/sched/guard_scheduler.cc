@@ -4,6 +4,12 @@
 #include "common/strings.h"
 
 namespace cdes {
+namespace {
+
+/// Estimated bytes per runtime message, for network accounting.
+constexpr size_t kMessageBytes = 48;
+
+}  // namespace
 
 std::string DecisionToString(Decision d) {
   switch (d) {
@@ -22,8 +28,7 @@ GuardScheduler::GuardScheduler(WorkflowContext* ctx,
                                Network* network,
                                const GuardSchedulerOptions& options)
     : ctx_(ctx), network_(network),
-      transport_(std::make_unique<ReliableTransport>(network,
-                                                     options.reliability)),
+      transport_(std::make_unique<ReliableTransport>(network)),
       options_(options) {
   Init(workflow, nullptr);
 }
@@ -34,8 +39,7 @@ GuardScheduler::GuardScheduler(WorkflowContext* ctx,
                                Network* network,
                                const GuardSchedulerOptions& options)
     : ctx_(ctx), network_(network),
-      transport_(std::make_unique<ReliableTransport>(network,
-                                                     options.reliability)),
+      transport_(std::make_unique<ReliableTransport>(network)),
       options_(options) {
   CDES_CHECK(compiled != nullptr);
   Init(workflow, std::move(compiled));
@@ -395,14 +399,14 @@ void GuardScheduler::Broadcast(SymbolId from, const RuntimeMessage& msg) {
       traced.trace_id = options_.trace_id;
       traced.span_id = ++next_span_id_;
       TraceSend(from, target, traced);
-      transport_->Send(src_site, actor->site(), options_.message_bytes,
+      transport_->Send(src_site, actor->site(), kMessageBytes,
                        [this, actor, traced] {
                          TraceDeliver(traced, actor);
                          actor->Receive(traced);
                        });
       continue;
     }
-    transport_->Send(src_site, actor->site(), options_.message_bytes,
+    transport_->Send(src_site, actor->site(), kMessageBytes,
                      [actor, msg] { actor->Receive(msg); });
   }
 }
@@ -419,14 +423,14 @@ void GuardScheduler::SendTo(SymbolId from, SymbolId target,
     traced.trace_id = options_.trace_id;
     traced.span_id = ++next_span_id_;
     TraceSend(from, target, traced);
-    transport_->Send(src_site, actor->site(), options_.message_bytes,
+    transport_->Send(src_site, actor->site(), kMessageBytes,
                      [this, actor, traced] {
                        TraceDeliver(traced, actor);
                        actor->Receive(traced);
                      });
     return;
   }
-  transport_->Send(src_site, actor->site(), options_.message_bytes,
+  transport_->Send(src_site, actor->site(), kMessageBytes,
                    [actor, msg] { actor->Receive(msg); });
 }
 
@@ -579,7 +583,6 @@ CheckpointState GuardScheduler::Snapshot() const {
 }
 
 bool GuardScheduler::MayTrigger(EventLiteral literal) const {
-  if (!options_.auto_trigger) return false;
   if (literal.complemented()) return false;
   auto it = attrs_.find(literal.symbol());
   if (it == attrs_.end()) return false;

@@ -22,17 +22,8 @@ namespace cdes {
 struct GuardSchedulerOptions {
   /// Semantic canonicalization of compiled guards (Example 9 forms).
   bool simplify_guards = true;
-  /// Proactively trigger triggerable events needed by parked guards.
-  bool auto_trigger = true;
   /// Enable the conditional-promise consensus of Example 11.
   bool enable_promises = true;
-  /// Estimated bytes per runtime message, for network accounting.
-  size_t message_bytes = 48;
-  /// Tuning for the reliable-delivery layer every protocol message rides
-  /// on. The layer is pass-through (no ids, acks, or timers) unless the
-  /// network has fault injection configured, so these knobs cost nothing
-  /// on a reliable network.
-  ReliableTransportOptions reliability;
   /// When set, every occurrence is appended (stamp + literal) before it is
   /// announced; GuardScheduler::Recover replays such a log after a crash.
   EventLog* durable_log = nullptr;
@@ -214,6 +205,9 @@ class GuardScheduler : public Scheduler, public ActorHost {
 
   WorkflowContext* ctx_;
   Network* network_;
+  /// Every protocol message rides on this reliable-delivery layer, with
+  /// default options. It is pass-through (no ids, acks, or timers) unless
+  /// the network has fault injection configured.
   std::unique_ptr<ReliableTransport> transport_;
   GuardSchedulerOptions options_;
   /// Per-literal compiled guards across all installed instances.

@@ -1,6 +1,7 @@
 #include "spec/parser.h"
 
 #include <cctype>
+#include <limits>
 #include <map>
 
 #include "algebra/generator.h"
@@ -199,6 +200,19 @@ class Parser {
     return Status::OK();
   }
 
+  /// Takes an integer token whose value is at most `max`; a missing or
+  /// out-of-range number is an error located at the token.
+  Result<int64_t> TakeInt(std::string_view what, int64_t max) {
+    if (!At(TokenKind::kInt)) return ErrorHere(StrCat("expected ", what));
+    uint64_t value = 0;
+    if (!ParseU64(Peek().text, &value) ||
+        value > static_cast<uint64_t>(max)) {
+      return ErrorHere(StrCat(what, " out of range (at most ", max, ")"));
+    }
+    Take();
+    return static_cast<int64_t>(value);
+  }
+
   bool AtKeyword(std::string_view kw) const {
     return At(TokenKind::kIdent) && Peek().text == kw;
   }
@@ -243,8 +257,10 @@ class Parser {
       if (!AtKeyword("site")) return ErrorHere("expected 'site'");
       Take();
       CDES_RETURN_IF_ERROR(Expect(TokenKind::kLParen, "'('"));
-      if (!At(TokenKind::kInt)) return ErrorHere("expected site number");
-      agent.site = std::stoi(Take().text);
+      CDES_ASSIGN_OR_RETURN(
+          int64_t site,
+          TakeInt("site number", std::numeric_limits<int>::max()));
+      agent.site = static_cast<int>(site);
       CDES_RETURN_IF_ERROR(Expect(TokenKind::kRParen, "')'"));
     }
     CDES_RETURN_IF_ERROR(Expect(TokenKind::kSemi, "';'"));
@@ -375,8 +391,10 @@ class Parser {
       if (!AtKeyword("site")) return ErrorHere("expected 'site'");
       Take();
       CDES_RETURN_IF_ERROR(Expect(TokenKind::kLParen, "'('"));
-      if (!At(TokenKind::kInt)) return ErrorHere("expected site number");
-      site = std::stoi(Take().text);
+      CDES_ASSIGN_OR_RETURN(
+          int64_t number,
+          TakeInt("site number", std::numeric_limits<int>::max()));
+      site = static_cast<int>(number);
       CDES_RETURN_IF_ERROR(Expect(TokenKind::kRParen, "')'"));
     }
     CDES_RETURN_IF_ERROR(Expect(TokenKind::kSemi, "';'"));
@@ -395,7 +413,10 @@ class Parser {
         if (At(TokenKind::kIdent)) {
           atom.args.push_back(PTerm::Var(Take().text));
         } else if (At(TokenKind::kInt)) {
-          atom.args.push_back(PTerm::Val(std::stoll(Take().text)));
+          CDES_ASSIGN_OR_RETURN(
+              int64_t value,
+              TakeInt("constant", std::numeric_limits<int64_t>::max()));
+          atom.args.push_back(PTerm::Val(value));
         } else {
           return ErrorHere("expected parameter or constant");
         }
@@ -555,7 +576,10 @@ class Parser {
         return ErrorHere(StrCat("template '", name, "' takes ",
                                 params.size(), " parameter(s)"));
       }
-      binding[params[index++]] = std::stoll(Take().text);
+      CDES_ASSIGN_OR_RETURN(
+          int64_t value,
+          TakeInt("parameter value", std::numeric_limits<int64_t>::max()));
+      binding[params[index++]] = value;
       if (At(TokenKind::kComma)) {
         Take();
         continue;

@@ -129,6 +129,67 @@ const Guard* CommitNow(GuardArena* arena, const Guard* g) {
   return g;
 }
 
+bool EvaluateNow(const Guard* g) {
+  switch (g->kind()) {
+    case GuardKind::kTrue:
+      return true;
+    case GuardKind::kFalse:
+      return false;
+    case GuardKind::kNeg:
+      // Unreduced ¬ℓ means ℓ has not been heard: true at this instant.
+      return true;
+    case GuardKind::kBox:
+    case GuardKind::kDiamond:
+      // Unreduced □/◇ means the occurrence / guarantee is not yet known.
+      return false;
+    case GuardKind::kAnd:
+      for (const Guard* c : g->children()) {
+        if (!EvaluateNow(c)) return false;
+      }
+      return true;
+    case GuardKind::kOr:
+      for (const Guard* c : g->children()) {
+        if (EvaluateNow(c)) return true;
+      }
+      return false;
+  }
+  return false;
+}
+
+bool ProjectionCache::EvaluateNow(const Guard* g) {
+  if (g->kind() != GuardKind::kAnd && g->kind() != GuardKind::kOr) {
+    return cdes::EvaluateNow(g);
+  }
+  auto it = now_.find(g);
+  if (it != now_.end()) return it->second;
+  // + holds unless some child fails, | fails unless some child holds.
+  bool is_and = g->kind() == GuardKind::kAnd;
+  bool result = is_and;
+  for (const Guard* c : g->children()) {
+    if (EvaluateNow(c) != is_and) {
+      result = !is_and;
+      break;
+    }
+  }
+  now_.emplace(g, result);
+  return result;
+}
+
+const Guard* ProjectionCache::CommitNow(GuardArena* arena, const Guard* g) {
+  if (g->kind() != GuardKind::kAnd && g->kind() != GuardKind::kOr) {
+    return cdes::CommitNow(arena, g);
+  }
+  auto it = commit_.find(g);
+  if (it != commit_.end()) return it->second;
+  std::vector<const Guard*> kids;
+  kids.reserve(g->children().size());
+  for (const Guard* c : g->children()) kids.push_back(CommitNow(arena, c));
+  const Guard* result =
+      g->kind() == GuardKind::kAnd ? arena->And(kids) : arena->Or(kids);
+  commit_.emplace(g, result);
+  return result;
+}
+
 const Expr* PruneImpossibleLiteral(ExprArena* arena, const Expr* e,
                                    EventLiteral dead) {
   switch (e->kind()) {

@@ -146,6 +146,35 @@ const Expr* PruneImpossibleLiteral(ExprArena* arena, const Expr* e,
 /// with the fired literal itself — ◇ sees the full trace).
 const Guard* CommitNow(GuardArena* arena, const Guard* g);
 
+/// The optimistic runtime evaluation of a reduced guard: whether it
+/// licenses occurrence *now*. ¬ℓ atoms count as true while ℓ is unheard
+/// (the event has not yet occurred), whereas □/◇ atoms require positive
+/// knowledge (an announcement or a promise). This optimistic
+/// ¬-evaluation is the per-event agreement the paper flags in §4.3; see
+/// DESIGN.md for the soundness discussion.
+bool EvaluateNow(const Guard* g);
+
+/// Memo of the two pure per-node projections the hot paths keep
+/// recomputing: EvaluateNow and CommitNow. Keyed by interned node (pointer
+/// equality is structural equality), it lives beside the ReductionCache
+/// with the same lifetime and thread confinement (one per WorkflowContext)
+/// and never invalidates. Each projection is the recursive walk above
+/// with a probe and a store at every composite node, so a sub-DAG shared
+/// between guards — or reached twice within one — is computed once per
+/// context; □/¬/◇ and constants are decided inline.
+class ProjectionCache {
+ public:
+  /// ≡ cdes::EvaluateNow(g).
+  bool EvaluateNow(const Guard* g);
+
+  /// ≡ cdes::CommitNow(arena, g). `arena` must be the arena `g` lives in.
+  const Guard* CommitNow(GuardArena* arena, const Guard* g);
+
+ private:
+  std::unordered_map<const Guard*, bool> now_;
+  std::unordered_map<const Guard*, const Guard*> commit_;
+};
+
 }  // namespace cdes
 
 #endif  // CDES_TEMPORAL_REDUCTION_H_

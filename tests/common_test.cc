@@ -127,6 +127,22 @@ TEST(StringsTest, StartsWith) {
   EXPECT_TRUE(StartsWith("x", ""));
 }
 
+TEST(StringsTest, ParseU64RejectsOverflowInsteadOfWrapping) {
+  uint64_t v = 7;
+  EXPECT_TRUE(ParseU64("18446744073709551615", &v));  // 2^64 - 1
+  EXPECT_EQ(v, UINT64_MAX);
+  EXPECT_TRUE(ParseU64("0", &v));
+  EXPECT_EQ(v, 0u);
+  v = 7;
+  EXPECT_FALSE(ParseU64("18446744073709551616", &v));  // 2^64 would wrap to 0
+  EXPECT_FALSE(ParseU64("18446744073709551617", &v));  // ... and this to 1
+  EXPECT_FALSE(ParseU64("99999999999999999999", &v));
+  EXPECT_FALSE(ParseU64("", &v));
+  EXPECT_FALSE(ParseU64("12a", &v));
+  EXPECT_FALSE(ParseU64("-1", &v));
+  EXPECT_EQ(v, 7u);  // untouched on failure
+}
+
 TEST(RngTest, DeterministicUnderSeed) {
   Rng a(123), b(123);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.Next(), b.Next());

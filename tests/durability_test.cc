@@ -195,6 +195,22 @@ TEST(EventLogV3Test, TornHeaderRejected) {
   EXPECT_EQ(ok.value(), 418u);
 }
 
+TEST(EventLogV3Test, OverflowingHeaderIdRejected) {
+  // The header's instance id carries no checksum: 2^64 + 1 must not wrap
+  // to instance 1, which would route the log to the wrong instance.
+  const std::string overflow = "cdeslog v3 18446744073709551617\n";
+  auto peek = EventLog::PeekInstance(overflow);
+  ASSERT_FALSE(peek.ok());
+  EXPECT_EQ(peek.status().code(), StatusCode::kInvalidArgument);
+  auto load = EventLog::LoadTolerant(Alphabet(), overflow);
+  ASSERT_FALSE(load.ok());
+  EXPECT_EQ(load.status().code(), StatusCode::kInvalidArgument);
+  // The largest id still round-trips.
+  auto max = EventLog::PeekInstance("cdeslog v3 18446744073709551615\n");
+  ASSERT_TRUE(max.ok());
+  EXPECT_EQ(max.value(), UINT64_MAX);
+}
+
 TEST(EventLogV3Test, TornTrailerDropsNothing) {
   // A trailer line torn mid-write ("checksum 1a") proves every record
   // line above it was already flushed: tolerant load keeps them all and
@@ -375,9 +391,12 @@ TEST(CheckpointPayloadTest, MalformedPayloadsRejected) {
   EXPECT_FALSE(ParseCheckpoint(g, a, "meta 1 10").ok());  // pre-v3 meta arity
   EXPECT_FALSE(ParseCheckpoint(g, a, meta).ok());         // no hist
   EXPECT_FALSE(ParseCheckpoint(g, a, StrCat(meta, "\nhist nope")).ok());
-  // Out-of-range symbol ids, in hist and actor position.
+  // Out-of-range symbol ids, in hist and actor position; 2^64 must not
+  // wrap to symbol 0.
   EXPECT_FALSE(
       ParseCheckpoint(g, a, StrCat(meta, "\nhist ", a.size())).ok());
+  EXPECT_FALSE(
+      ParseCheckpoint(g, a, StrCat(meta, "\nhist 18446744073709551616")).ok());
   EXPECT_FALSE(ParseCheckpoint(g, a, StrCat(meta, "\nhist\nactor ", a.size(),
                                             "\npos ^GT\nneg ^GT"))
                    .ok());

@@ -18,7 +18,6 @@
 
 #include "algebra/generator.h"
 #include "guards/context.h"
-#include "runtime/event_actor.h"
 #include "temporal/guard_needs.h"
 #include "temporal/guard_semantics.h"
 #include "temporal/reduction.h"
@@ -66,7 +65,7 @@ TEST_P(SoundnessTest, RuntimeReductionIsConservative) {
       for (size_t i = 0; i <= u.size(); ++i) {
         // If the runtime would fire here, the semantics must agree on
         // this maximal extension.
-        if (EventActor::EvaluateNow(reduced)) {
+        if (EvaluateNow(reduced)) {
           EXPECT_TRUE(HoldsAt(u, i, g))
               << GuardToString(g, *ctx.alphabet()) << " fired early at "
               << i << " on " << TraceToString(u, *ctx.alphabet());
@@ -77,7 +76,7 @@ TEST_P(SoundnessTest, RuntimeReductionIsConservative) {
         }
       }
       // Completeness at the end of the maximal trace.
-      EXPECT_EQ(EventActor::EvaluateNow(reduced), HoldsAt(u, u.size(), g))
+      EXPECT_EQ(EvaluateNow(reduced), HoldsAt(u, u.size(), g))
           << GuardToString(g, *ctx.alphabet()) << " at end of "
           << TraceToString(u, *ctx.alphabet());
     }

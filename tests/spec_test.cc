@@ -188,6 +188,19 @@ TEST_F(SpecTest, ErrorTruncatedInput) {
   ASSERT_FALSE(r.ok());
 }
 
+TEST_F(SpecTest, ErrorSiteOutOfRange) {
+  // A site number past int's range is a located parse error, not a crash.
+  auto r = ParseWorkflow(&ctx_, "workflow w {\n  agent a @ site(99999999999);\n}");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().message().find("2:18: site number out of range"),
+            std::string::npos)
+      << r.status();
+  // The largest int is still a valid site.
+  EXPECT_TRUE(
+      ParseWorkflow(&ctx_, "workflow v { agent a @ site(2147483647); }").ok());
+}
+
 constexpr char kTemplateSpec[] = R"(
 # Example 12 in the spec language itself: a cid-parametrized template.
 template trip(cid) {
@@ -254,6 +267,19 @@ template t(a) { event e[a]; dep d: e[a]; }
 workflow w { use t(1); use t(1); }
 )")
                    .ok());
+  // Out-of-range numbers in a template: site, constant, parameter value.
+  for (const char* text : {
+           "template t(a) { agent x @ site(2147483648); event e[a]; }\n"
+           "workflow w { use t(1); }",
+           "template t(a) { event e[a, 99999999999999999999]; }\n"
+           "workflow w { use t(1); }",
+           "template t(a) { event e[a]; }\n"
+           "workflow w { use t(9223372036854775808); }"}) {
+    auto r = ParseWorkflow(&ctx_, text);
+    ASSERT_FALSE(r.ok()) << text;
+    EXPECT_NE(r.status().message().find("out of range"), std::string::npos)
+        << r.status();
+  }
   // Undeclared event in a template dependency.
   EXPECT_FALSE(ParseWorkflow(&ctx_, R"(
 template t(a) { event e[a]; dep d: ghost[a]; }

@@ -1,5 +1,5 @@
-// Equivalence properties of the symbolic caches: flat compiled evaluation
-// and the shard-shared ReductionCache are *optimizations* — evaluation
+// Equivalence properties of the symbolic caches: the shard-shared
+// ProjectionCache and ReductionCache are *optimizations* — evaluation
 // verdicts and reduced-guard identities must match the plain recursive
 // walks, which serve as the reference implementations here. (Runtime
 // histories and checker findings are pinned to the paper's declarative
@@ -17,8 +17,6 @@
 #include "common/strings.h"
 #include "guards/workflow.h"
 #include "obs/metrics.h"
-#include "runtime/event_actor.h"
-#include "temporal/flat_eval.h"
 #include "temporal/reduction.h"
 
 namespace cdes {
@@ -54,20 +52,22 @@ CompiledWorkflow RandomCompiled(WorkflowContext* ctx, uint64_t seed,
   return CompileWorkflow(ctx, spec);
 }
 
-// ------------------------------------------------ flat ≡ recursive walks
+// -------------------------------------------- memoized ≡ recursive walks
 
-// The flat postorder programs must agree with the recursive EvaluateNow and
+// The memoized projections must agree with the recursive EvaluateNow and
 // CommitNow on every guard the compiler produces *and* on every reduction
 // of those guards along occurrence traces — the states the runtime actually
-// evaluates.
-TEST(SymbolicCacheTest, FlatEvaluationMatchesRecursiveWalks) {
+// evaluates. Each guard's children are queried before the guard itself, so
+// the guard's own answer is assembled from inner-node memo entries that
+// were each checked against the reference first.
+TEST(SymbolicCacheTest, MemoizedProjectionsMatchRecursiveWalks) {
   constexpr size_t kSymbols = 4;
   size_t compared = 0;
   for (uint64_t seed = 1; seed <= 200; ++seed) {
     WorkflowContext ctx;
     CompiledWorkflow compiled = RandomCompiled(&ctx, seed, kSymbols, 2);
     if (compiled.impossible()) continue;
-    FlatEvaluator flat;
+    ProjectionCache memo;
     Rng rng(seed * 31 + 5);
     std::vector<SymbolId> symbols(compiled.symbols().begin(),
                                   compiled.symbols().end());
@@ -77,12 +77,17 @@ TEST(SymbolicCacheTest, FlatEvaluationMatchesRecursiveWalks) {
             compiled.GuardFor(EventLiteral(symbol, complemented));
         // The compiled guard plus a random reduction chain off it.
         for (int step = 0; step < 1 + static_cast<int>(kSymbols); ++step) {
-          ASSERT_EQ(flat.EvaluateNow(g), EventActor::EvaluateNow(g))
-              << "seed " << seed << " guard "
-              << GuardToString(g, *ctx.alphabet());
-          ASSERT_EQ(flat.Commit(ctx.guards(), g), CommitNow(ctx.guards(), g))
-              << "seed " << seed << " guard "
-              << GuardToString(g, *ctx.alphabet());
+          std::vector<const Guard*> queries = g->children();
+          queries.push_back(g);
+          for (const Guard* q : queries) {
+            ASSERT_EQ(memo.EvaluateNow(q), EvaluateNow(q))
+                << "seed " << seed << " guard "
+                << GuardToString(q, *ctx.alphabet());
+            ASSERT_EQ(memo.CommitNow(ctx.guards(), q),
+                      CommitNow(ctx.guards(), q))
+                << "seed " << seed << " guard "
+                << GuardToString(q, *ctx.alphabet());
+          }
           ++compared;
           SymbolId next = symbols[rng.Next() % symbols.size()];
           EventLiteral lit(next, rng.Next() % 2 == 1);
