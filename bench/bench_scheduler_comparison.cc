@@ -134,7 +134,8 @@ workflow mutual {
               "(request/promise/announce)\n\n",
               TraceToString(sched.history(), *ctx.alphabet()).c_str(),
               static_cast<unsigned long long>(sim.now()),
-              static_cast<unsigned long long>(net.stats().messages));
+              static_cast<unsigned long long>(
+                  net.metrics()->counter("net.messages")->value()));
 }
 
 template <typename SchedulerT>

@@ -47,8 +47,8 @@ ChaosResult RunChaos(double loss, double dup, bool partition, uint64_t seed) {
                           {"s_buy", "c_book", "c_buy"});
   out.retransmits = sched.transport()->retransmits();
   out.acks = sched.transport()->acks();
-  out.dropped = net.stats().dropped;
-  out.duplicated = net.stats().duplicated;
+  out.dropped = net.metrics()->counter("net.dropped")->value();
+  out.duplicated = net.metrics()->counter("net.duplicated")->value();
   out.consistent = sched.HistoryConsistent();
   return out;
 }

@@ -160,9 +160,10 @@ DriveResult DriveScript(WorkflowContext* ctx, SchedulerT* sched,
     sim->Run();
   }
   out.completion_time = sim->now();
-  out.messages = net->stats().messages;
-  out.remote_messages = net->stats().remote_messages;
-  out.bytes = net->stats().bytes;
+  obs::MetricsRegistry* net_metrics = net->metrics();
+  out.messages = net_metrics->counter("net.messages")->value();
+  out.remote_messages = net_metrics->counter("net.remote_messages")->value();
+  out.bytes = net_metrics->counter("net.bytes")->value();
   RecordRunMetrics(out);
   return out;
 }
@@ -213,9 +214,11 @@ DriveResult DriveConcurrent(WorkflowContext* ctx, SchedulerT* sched,
   }
   sim->Run();
   result->completion_time = sim->now();
-  result->messages = net->stats().messages;
-  result->remote_messages = net->stats().remote_messages;
-  result->bytes = net->stats().bytes;
+  obs::MetricsRegistry* net_metrics = net->metrics();
+  result->messages = net_metrics->counter("net.messages")->value();
+  result->remote_messages =
+      net_metrics->counter("net.remote_messages")->value();
+  result->bytes = net_metrics->counter("net.bytes")->value();
   RecordRunMetrics(*result);
   return *result;
 }

@@ -88,8 +88,9 @@ workflow quickstart {
   std::printf("history: %s\n",
               TraceToString(sched.history(), *ctx.alphabet()).c_str());
   std::printf("messages on the wire: %llu (mean latency %.0f ticks)\n",
-              static_cast<unsigned long long>(net.stats().messages),
-              net.stats().MeanLatency());
+              static_cast<unsigned long long>(
+                  net.metrics()->counter("net.messages")->value()),
+              net.metrics()->histogram("net.latency_us")->Mean());
   std::printf("all dependencies satisfied: %s\n",
               sched.HistoryConsistent(true) ? "yes" : "no");
   return 0;

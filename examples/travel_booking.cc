@@ -267,7 +267,8 @@ int main(int argc, char** argv) {
     std::printf("  book agent: %s\n", book.state().c_str());
     PrintHistory(sched, *ctx.alphabet());
     std::printf("  messages: %llu\n\n",
-                static_cast<unsigned long long>(net.stats().messages));
+                static_cast<unsigned long long>(
+                    net.metrics()->counter("net.messages")->value()));
     obs::UnregisterGlobalSimulator(&sim);
   }
 
@@ -350,9 +351,12 @@ int main(int argc, char** argv) {
         "  frames dropped %llu, duplicated %llu, blocked by partition %llu\n"
         "  recovered with %llu retransmissions (%llu acks); settled at "
         "t=%llu\n\n",
-        static_cast<unsigned long long>(net.stats().dropped),
-        static_cast<unsigned long long>(net.stats().duplicated),
-        static_cast<unsigned long long>(net.stats().partitioned),
+        static_cast<unsigned long long>(
+            net.metrics()->counter("net.dropped")->value()),
+        static_cast<unsigned long long>(
+            net.metrics()->counter("net.duplicated")->value()),
+        static_cast<unsigned long long>(
+            net.metrics()->counter("net.partitioned")->value()),
         static_cast<unsigned long long>(sched.transport()->retransmits()),
         static_cast<unsigned long long>(sched.transport()->acks()),
         static_cast<unsigned long long>(sim.now()));

@@ -21,9 +21,15 @@ SymbolId Alphabet::Find(std::string_view name) const {
 }
 
 std::string Alphabet::LiteralName(EventLiteral lit) const {
+  std::string out;
+  AppendLiteralName(lit, &out);
+  return out;
+}
+
+void Alphabet::AppendLiteralName(EventLiteral lit, std::string* out) const {
   CDES_CHECK(lit.valid());
-  if (lit.complemented()) return StrCat("~", Name(lit.symbol()));
-  return Name(lit.symbol());
+  if (lit.complemented()) out->push_back('~');
+  out->append(Name(lit.symbol()));
 }
 
 EventLiteral Alphabet::InternLiteral(std::string_view text) {

@@ -109,6 +109,8 @@ class Alphabet {
 
   /// Printable form of a literal: "e" or "~e".
   std::string LiteralName(EventLiteral lit) const;
+  /// Appends LiteralName(lit) to `*out`.
+  void AppendLiteralName(EventLiteral lit, std::string* out) const;
 
   /// Parses "e" or "~e" into a literal, interning the symbol if new.
   EventLiteral InternLiteral(std::string_view text);

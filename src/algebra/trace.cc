@@ -70,10 +70,10 @@ bool IsMaximalTrace(const Trace& u, size_t symbol_count) {
 std::string TraceToString(const Trace& u, const Alphabet& alphabet) {
   std::string out = "<";
   for (size_t i = 0; i < u.size(); ++i) {
-    if (i > 0) out += " ";
-    out += alphabet.LiteralName(u[i]);
+    if (i > 0) out.push_back(' ');
+    alphabet.AppendLiteralName(u[i], &out);
   }
-  out += ">";
+  out.push_back('>');
   return out;
 }
 

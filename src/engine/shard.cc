@@ -87,11 +87,18 @@ void Shard::ThreadMain() {
   CDES_CHECK(parsed.ok()) << parsed.status();
   workflow_ = std::move(parsed).value();
   compiled_ = CompileWorkflowShared(ctx_.get(), workflow_.spec);
+  residuation_cache_hits_ = metrics_.gauge("algebra.residuation_cache_hits");
+  residuation_cache_misses_ =
+      metrics_.gauge("algebra.residuation_cache_misses");
   if (!options_.wal_dir.empty()) {
     WalOptions wopts;
     wopts.dir = options_.wal_dir;
     wopts.group_commit_records = options_.group_commit_records;
     wal_ = std::make_unique<ShardWal>(wopts);
+    wal_records_ = metrics_.counter("engine.wal.records");
+    wal_group_commits_ = metrics_.counter("engine.wal.group_commits");
+    wal_errors_ = metrics_.counter("engine.wal.errors");
+    checkpoints_ = metrics_.counter("engine.checkpoints");
   }
 
   bool stopping = false;
@@ -160,10 +167,8 @@ void Shard::PublishCacheGauges() {
   // into gauges here so live telemetry and the post-Stop merged registry
   // both see symbolic-cache effectiveness without obs leaking into algebra/.
   const Residuator* res = ctx_->residuator();
-  metrics_.gauge("algebra.residuation_cache_hits")
-      ->Set(static_cast<double>(res->cache_hits()));
-  metrics_.gauge("algebra.residuation_cache_misses")
-      ->Set(static_cast<double>(res->cache_misses()));
+  residuation_cache_hits_->Set(static_cast<double>(res->cache_hits()));
+  residuation_cache_misses_->Set(static_cast<double>(res->cache_misses()));
 }
 
 std::unique_ptr<Shard::Resident> Shard::AdmitInstance(EngineCommand cmd) {
@@ -300,14 +305,14 @@ void Shard::SyncWal(Resident& r) {
   CDES_CHECK(r.wal_seen <= records.size());
   for (size_t i = r.wal_seen; i < records.size(); ++i) {
     wal_->Append(r.id, EventLog::RecordLine(records[i], *ctx_->alphabet()));
-    metrics_.counter("engine.wal.records")->Increment();
   }
+  wal_records_->Increment(records.size() - r.wal_seen);
   r.wal_seen = records.size();
   if (wal_->ShouldFlush()) {
     // Group commit: one filesystem pass covers every resident's buffered
     // appends, not just this instance's.
     FlushWal();
-    metrics_.counter("engine.wal.group_commits")->Increment();
+    wal_group_commits_->Increment();
   }
 }
 
@@ -321,13 +326,13 @@ void Shard::FlushWal() {
     if (it != active_.end()) {
       FailWal(**it, error);
     } else {
-      metrics_.counter("engine.wal.errors")->Increment();
+      wal_errors_->Increment();
     }
   }
 }
 
 void Shard::FailWal(Resident& r, const std::string& error) {
-  metrics_.counter("engine.wal.errors")->Increment();
+  wal_errors_->Increment();
   if (r.result.error.empty()) r.result.error = error;
   r.phase = Resident::Phase::kDone;
 }
@@ -352,7 +357,7 @@ void Shard::MaybeCheckpoint(Resident& r) {
       SerializeCheckpoint(r.sched->Snapshot(), *ctx_->alphabet());
   wal_->Append(r.id, EventLog::SectionText(section));
   if (Status flushed = wal_->Flush(r.id); !flushed.ok()) {
-    metrics_.counter("engine.wal.errors")->Increment();
+    wal_errors_->Increment();
     return;  // no compaction without a durable checkpoint
   }
   // Phase 2 — compact: install in memory, then atomically rewrite the file
@@ -364,10 +369,10 @@ void Shard::MaybeCheckpoint(Resident& r) {
   if (Status rewrote =
           wal_->Rewrite(r.id, r.log->SerializeOpen(*ctx_->alphabet()));
       !rewrote.ok()) {
-    metrics_.counter("engine.wal.errors")->Increment();
+    wal_errors_->Increment();
     return;  // in-memory state is still coherent; the file keeps phase 1
   }
-  metrics_.counter("engine.checkpoints")->Increment();
+  checkpoints_->Increment();
 }
 
 void Shard::Finish(Resident& r) {

@@ -144,6 +144,14 @@ class Shard {
   CompiledWorkflowRef compiled_;
   std::unique_ptr<ShardWal> wal_;
   obs::MetricsRegistry metrics_;
+  /// Handles into metrics_, resolved once in ThreadMain. The engine.wal.*
+  /// and engine.checkpoints counters exist only on shards with a WAL.
+  obs::Gauge* residuation_cache_hits_ = nullptr;
+  obs::Gauge* residuation_cache_misses_ = nullptr;
+  obs::Counter* wal_records_ = nullptr;
+  obs::Counter* wal_group_commits_ = nullptr;
+  obs::Counter* wal_errors_ = nullptr;
+  obs::Counter* checkpoints_ = nullptr;
   /// Resident instances, in admission order. Declared after everything a
   /// resident points into, so an aborted shard's leftovers are destroyed
   /// first.

@@ -3,6 +3,7 @@
 #include "algebra/residuation.h"
 #include "algebra/semantics.h"
 #include "obs/profiler.h"
+#include "temporal/guard.h"
 #include "temporal/guard_semantics.h"
 #include "temporal/simplify.h"
 
@@ -18,8 +19,9 @@ std::set<SymbolId> WorkflowSpec::Symbols() const {
 }
 
 const Guard* CompiledWorkflow::GuardFor(EventLiteral literal) const {
-  auto it = guards_.find(literal);
-  return it == guards_.end() ? top_ : it->second;
+  const SymbolEntry* entry = Find(literal.symbol());
+  if (entry == nullptr) return top_;
+  return literal.complemented() ? entry->negative : entry->positive;
 }
 
 const std::vector<std::pair<size_t, const Guard*>>&
@@ -55,7 +57,12 @@ CompiledWorkflow CompileWorkflow(WorkflowContext* ctx,
       out.impossible_ = true;
     }
   }
+  if (!out.symbols_.empty()) {
+    out.first_symbol_ = *out.symbols_.begin();
+    out.entries_.resize(*out.symbols_.rbegin() - out.first_symbol_ + 1);
+  }
   for (SymbolId s : out.symbols_) {
+    CompiledWorkflow::SymbolEntry& entry = out.entries_[s - out.first_symbol_];
     for (EventLiteral l :
          {EventLiteral::Positive(s), EventLiteral::Complement(s)}) {
       std::vector<const Guard*> conj;
@@ -94,7 +101,21 @@ CompiledWorkflow CompileWorkflow(WorkflowContext* ctx,
         out.contributions_[l].emplace_back(di, g);
         conj.push_back(g);
       }
-      out.guards_[l] = ctx->guards()->And(conj);
+      (l.complemented() ? entry.negative : entry.positive) =
+          ctx->guards()->And(conj);
+    }
+  }
+  // Static subscriptions: an actor hears about every symbol its guards
+  // mention (reduction can only shrink the mentioned set). Visiting
+  // subscribers in ascending order keeps every list sorted.
+  for (SymbolId s : out.symbols_) {
+    const CompiledWorkflow::SymbolEntry& entry =
+        out.entries_[s - out.first_symbol_];
+    std::set<SymbolId> mentioned = GuardSymbols(entry.positive);
+    std::set<SymbolId> negative = GuardSymbols(entry.negative);
+    mentioned.insert(negative.begin(), negative.end());
+    for (SymbolId m : mentioned) {
+      if (m != s) out.entries_[m - out.first_symbol_].subscribers.push_back(s);
     }
   }
   return out;

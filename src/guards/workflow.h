@@ -69,9 +69,29 @@ struct CompileOptions {
 /// in W that mention e").
 class CompiledWorkflow {
  public:
+  /// What the runtime needs of one mentioned symbol, fixed at compile time
+  /// so that every instance built against this table shares it.
+  struct SymbolEntry {
+    /// The conjoined guards of the symbol's two literals.
+    const Guard* positive = nullptr;
+    const Guard* negative = nullptr;
+    /// The other symbols whose guards mention this one, ascending: the
+    /// actors that must hear of its occurrence, in send order.
+    std::vector<SymbolId> subscribers;
+  };
+
   /// The conjoined guard localized on `literal`; ⊤ for literals no
   /// dependency mentions.
   const Guard* GuardFor(EventLiteral literal) const;
+
+  /// The entry of a mentioned symbol; nullptr for any other symbol.
+  const SymbolEntry* Find(SymbolId symbol) const {
+    if (symbol < first_symbol_ || symbol - first_symbol_ >= entries_.size()) {
+      return nullptr;
+    }
+    const SymbolEntry& entry = entries_[symbol - first_symbol_];
+    return entry.positive != nullptr ? &entry : nullptr;
+  }
 
   /// Per-dependency contributions to `literal` (dependency index, guard).
   const std::vector<std::pair<size_t, const Guard*>>& ContributionsFor(
@@ -99,7 +119,10 @@ class CompiledWorkflow {
   bool impossible_ = false;
   std::vector<Dependency> dependencies_;
   std::set<SymbolId> symbols_;
-  std::map<EventLiteral, const Guard*> guards_;
+  /// Dense over [first_symbol_, last mentioned symbol]; entries of symbols
+  /// in that range the workflow does not mention have null guards.
+  SymbolId first_symbol_ = 0;
+  std::vector<SymbolEntry> entries_;
   std::map<EventLiteral, std::vector<std::pair<size_t, const Guard*>>>
       contributions_;
   std::vector<std::pair<size_t, const Guard*>> no_contributions_;

@@ -6,6 +6,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace cdes::obs {
@@ -87,8 +88,7 @@ class Histogram {
 /// access to named counters, gauges, and histograms, plus a JSON snapshot
 /// for benchmark trajectories and operator dumps. All runtime components
 /// (schedulers, network, simulator) report through one of these instead of
-/// bespoke stat structs; the Network::stats() accessor is a view
-/// assembled from registry counters.
+/// bespoke stat structs.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -109,6 +109,22 @@ class MetricsRegistry {
   static std::vector<uint64_t> ExponentialBounds(uint64_t start = 1,
                                                  size_t count = 24);
   static const std::vector<uint64_t>& DefaultBounds();
+
+  /// The registry's instance of `Handles`, a struct of metric pointers
+  /// built by `Handles(MetricsRegistry*)` on the first request and kept for
+  /// the registry's lifetime. A component built once per workflow instance
+  /// against a long-lived registry resolves its metric names once, not
+  /// once per build.
+  template <typename Handles>
+  const Handles& handles() {
+    const void* key = &kHandlesKey<Handles>;
+    for (const auto& [k, set] : handle_sets_) {
+      if (k == key) return *static_cast<const Handles*>(set.get());
+    }
+    auto set = std::make_shared<const Handles>(this);
+    handle_sets_.emplace_back(key, set);
+    return *set;
+  }
 
   /// Folds `other` into this registry: counters add, gauges take `other`'s
   /// value, histograms merge bucket-wise (created here with `other`'s
@@ -141,6 +157,12 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
+
+  /// One address per handle-struct type, identifying it in handle_sets_.
+  template <typename Handles>
+  static constexpr char kHandlesKey = 0;
+  std::vector<std::pair<const void*, std::shared_ptr<const void>>>
+      handle_sets_;
 };
 
 }  // namespace cdes::obs

@@ -141,6 +141,8 @@ class EventActor {
   std::vector<EventLiteral> ParkedLiterals() const;
   SymbolId symbol() const { return symbol_; }
   int site() const { return site_; }
+  /// Attributes of the positive literal, as declared in the spec.
+  const EventAttributes& attributes() const { return positive_attrs_; }
 
  private:
   struct Parked {

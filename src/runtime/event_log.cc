@@ -12,8 +12,10 @@ constexpr char kHeaderV3[] = "cdeslog v3";
 constexpr char kTrailerPrefix[] = "checksum ";
 constexpr char kSectionPrefix[] = "ckpt ";
 
-uint64_t Fnv1a(std::string_view text) {
-  uint64_t h = 0xCBF29CE484222325ULL;
+constexpr uint64_t kFnvOffset = 0xCBF29CE484222325ULL;
+
+/// FNV-1a over `text`, continuing from `h` (so a checksum can span pieces).
+uint64_t Fnv1a(std::string_view text, uint64_t h = kFnvOffset) {
   for (char c : text) {
     h ^= static_cast<unsigned char>(c);
     h *= 0x100000001B3ULL;
@@ -23,16 +25,18 @@ uint64_t Fnv1a(std::string_view text) {
 
 /// The checksummed payload of one record line.
 std::string RecordPayload(uint64_t seq, uint64_t time,
-                          const std::string& literal) {
+                          std::string_view literal) {
   return StrCat(seq, " ", time, " ", literal);
 }
 
-/// The checksummed content of a checkpoint section: its own framing fields
-/// plus the payload, so neither can be tampered with independently.
-std::string SectionChecksumInput(const EventLog::CheckpointSection& section,
-                                 uint64_t nlines) {
-  return StrCat(section.covered, " ", section.last_stamp.time, " ",
-                section.last_stamp.seq, " ", nlines, "\n", section.payload);
+/// The checksum of a checkpoint section: over its own framing fields plus
+/// the payload, so neither can be tampered with independently.
+uint64_t SectionChecksum(const EventLog::CheckpointSection& section,
+                         uint64_t nlines) {
+  std::string framing =
+      StrCat(section.covered, " ", section.last_stamp.time, " ",
+             section.last_stamp.seq, " ", nlines, "\n");
+  return Fnv1a(section.payload, Fnv1a(framing));
 }
 
 uint64_t PayloadLineCount(const std::string& payload) {
@@ -42,6 +46,29 @@ uint64_t PayloadLineCount(const std::string& payload) {
     if (c == '\n') ++n;
   }
   return n;
+}
+
+void AppendHeader(std::string* out, uint64_t instance) {
+  StrAppend(out, kHeaderV3, " ", instance, "\n");
+}
+
+/// One record line; its checksum runs over the payload just appended.
+void AppendRecord(std::string* out, const EventLog::Record& record,
+                  const Alphabet& alphabet) {
+  const size_t start = out->size();
+  StrAppend(out, record.stamp.seq, " ", record.stamp.time, " ");
+  alphabet.AppendLiteralName(record.literal, out);
+  const uint64_t crc = Fnv1a(std::string_view(*out).substr(start));
+  StrAppend(out, " ", crc, "\n");
+}
+
+void AppendSection(std::string* out,
+                   const EventLog::CheckpointSection& section) {
+  const uint64_t nlines = PayloadLineCount(section.payload);
+  StrAppend(out, kSectionPrefix, section.covered, " ",
+            section.last_stamp.time, " ", section.last_stamp.seq, " ", nlines,
+            " ", SectionChecksum(section, nlines), "\n");
+  if (nlines > 0) StrAppend(out, section.payload, "\n");
 }
 
 bool IsDigit(char c) { return c >= '0' && c <= '9'; }
@@ -73,36 +100,41 @@ OccurrenceStamp EventLog::last_stamp() const {
 }
 
 std::string EventLog::HeaderLine(uint64_t instance) {
-  return StrCat(kHeaderV3, " ", instance, "\n");
+  std::string out;
+  AppendHeader(&out, instance);
+  return out;
 }
 
 std::string EventLog::RecordLine(const Record& record,
                                  const Alphabet& alphabet) {
-  std::string payload = RecordPayload(record.stamp.seq, record.stamp.time,
-                                      alphabet.LiteralName(record.literal));
-  return StrCat(payload, " ", Fnv1a(payload), "\n");
+  std::string out;
+  AppendRecord(&out, record, alphabet);
+  return out;
 }
 
 std::string EventLog::SectionText(const CheckpointSection& section) {
-  uint64_t nlines = PayloadLineCount(section.payload);
-  std::string text =
-      StrCat(kSectionPrefix, section.covered, " ", section.last_stamp.time, " ",
-             section.last_stamp.seq, " ", nlines, " ",
-             Fnv1a(SectionChecksumInput(section, nlines)), "\n");
-  if (nlines > 0) text += StrCat(section.payload, "\n");
-  return text;
+  std::string out;
+  AppendSection(&out, section);
+  return out;
 }
 
 std::string EventLog::SerializeOpen(const Alphabet& alphabet) const {
-  std::string body = HeaderLine(instance_);
-  if (checkpoint_) body += SectionText(*checkpoint_);
-  for (const Record& r : records_) body += RecordLine(r, alphabet);
+  std::string body;
+  // Room for the header, every record line and the trailer Serialize adds,
+  // so the image is built in one allocation for typical event names.
+  body.reserve(64 + 48 * records_.size() +
+               (checkpoint_ ? 64 + checkpoint_->payload.size() : 0));
+  AppendHeader(&body, instance_);
+  if (checkpoint_) AppendSection(&body, *checkpoint_);
+  for (const Record& r : records_) AppendRecord(&body, r, alphabet);
   return body;
 }
 
 std::string EventLog::Serialize(const Alphabet& alphabet) const {
   std::string body = SerializeOpen(alphabet);
-  return StrCat(body, kTrailerPrefix, Fnv1a(body), "\n");
+  const uint64_t crc = Fnv1a(body);
+  StrAppend(&body, kTrailerPrefix, crc, "\n");
+  return body;
 }
 
 Result<EventLog> EventLog::Deserialize(const Alphabet& alphabet,
@@ -227,7 +259,7 @@ Result<EventLog> EventLog::Parse(const Alphabet& alphabet,
         payload += lines[j];
       }
       section.payload = std::move(payload);
-      if (crc != Fnv1a(SectionChecksumInput(section, nlines))) {
+      if (crc != SectionChecksum(section, nlines)) {
         // A final payload line torn mid-write mimics a complete block with a
         // bad checksum; at EOF that is a crash shape, anywhere else it is
         // corruption.

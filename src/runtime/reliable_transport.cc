@@ -5,6 +5,30 @@
 #include "common/strings.h"
 
 namespace cdes {
+namespace {
+
+/// The transport's "net.*" metrics, resolved once per registry.
+struct TransportMetrics {
+  explicit TransportMetrics(obs::MetricsRegistry* registry)
+      : retransmits(registry->counter("net.retransmits")),
+        acks(registry->counter("net.acks")),
+        delivered(registry->counter("net.rel.delivered")),
+        duplicates_suppressed(
+            registry->counter("net.rel.duplicates_suppressed")),
+        abandoned(registry->counter("net.rel.abandoned")),
+        retransmit_delay(registry->histogram("net.retransmit_delay_us")),
+        ack_rtt(registry->histogram("net.rel.ack_rtt_us")) {}
+
+  obs::Counter* retransmits;
+  obs::Counter* acks;
+  obs::Counter* delivered;
+  obs::Counter* duplicates_suppressed;
+  obs::Counter* abandoned;
+  obs::Histogram* retransmit_delay;
+  obs::Histogram* ack_rtt;
+};
+
+}  // namespace
 
 ReliableTransport::ReliableTransport(Network* network,
                                      const ReliableTransportOptions& options)
@@ -18,14 +42,15 @@ ReliableTransport::ReliableTransport(Network* network,
     options_.max_timeout = 64 * options_.initial_timeout;
   }
   CDES_CHECK(options_.backoff >= 1.0);
-  obs::MetricsRegistry* metrics = network_->metrics();
-  retransmits_ = metrics->counter("net.retransmits");
-  acks_ = metrics->counter("net.acks");
-  delivered_ = metrics->counter("net.rel.delivered");
-  duplicates_suppressed_ = metrics->counter("net.rel.duplicates_suppressed");
-  abandoned_ = metrics->counter("net.rel.abandoned");
-  retransmit_delay_ = metrics->histogram("net.retransmit_delay_us");
-  ack_rtt_ = metrics->histogram("net.rel.ack_rtt_us");
+  const TransportMetrics& metrics =
+      network_->metrics()->handles<TransportMetrics>();
+  retransmits_ = metrics.retransmits;
+  acks_ = metrics.acks;
+  delivered_ = metrics.delivered;
+  duplicates_suppressed_ = metrics.duplicates_suppressed;
+  abandoned_ = metrics.abandoned;
+  retransmit_delay_ = metrics.retransmit_delay;
+  ack_rtt_ = metrics.ack_rtt;
 }
 
 std::string ReliableTransport::TraceKey(const MessageId& id) const {

@@ -11,6 +11,45 @@ constexpr size_t kMessageBytes = 48;
 
 }  // namespace
 
+/// The always-on "sched.*" counters.
+struct GuardScheduler::Metrics {
+  explicit Metrics(obs::MetricsRegistry* registry)
+      : sent_announcements(registry->counter("sched.msgs.announce")),
+        sent_promises(registry->counter("sched.msgs.promise")),
+        sent_promise_requests(registry->counter("sched.msgs.promise_request")),
+        sent_triggers(registry->counter("sched.msgs.trigger")),
+        attempts(registry->counter("sched.attempts")),
+        occurrences(registry->counter("sched.occurrences")),
+        violations(registry->counter("sched.violations")),
+        accepted(registry->counter("sched.decisions.accepted")),
+        rejected(registry->counter("sched.decisions.rejected")) {}
+
+  obs::Counter* sent_announcements;
+  obs::Counter* sent_promises;
+  obs::Counter* sent_promise_requests;
+  obs::Counter* sent_triggers;
+  obs::Counter* attempts;
+  obs::Counter* occurrences;
+  obs::Counter* violations;
+  obs::Counter* accepted;
+  obs::Counter* rejected;
+};
+
+/// The per-attempt lifecycle metrics, created only when lifecycle
+/// instrumentation is on.
+struct GuardScheduler::LifecycleMetrics {
+  explicit LifecycleMetrics(obs::MetricsRegistry* registry)
+      : decision_latency(registry->histogram("sched.decision_latency_us")),
+        reduction_steps(registry->histogram("sched.guard_reduction_steps")),
+        parked_depth(registry->histogram("sched.parked_depth")),
+        parks(registry->counter("sched.parks")) {}
+
+  obs::Histogram* decision_latency;
+  obs::Histogram* reduction_steps;
+  obs::Histogram* parked_depth;
+  obs::Counter* parks;
+};
+
 std::string DecisionToString(Decision d) {
   switch (d) {
     case Decision::kAccepted:
@@ -57,24 +96,16 @@ void GuardScheduler::Init(const ParsedWorkflow& workflow,
   tracer_ = options.tracer;
   observe_lifecycle_ = options.lifecycle_instrumentation &&
                        (options.metrics != nullptr || tracer_ != nullptr);
-  sent_announcements_ = metrics_->counter("sched.msgs.announce");
-  sent_promises_ = metrics_->counter("sched.msgs.promise");
-  sent_promise_requests_ = metrics_->counter("sched.msgs.promise_request");
-  sent_triggers_ = metrics_->counter("sched.msgs.trigger");
-  attempts_ = metrics_->counter("sched.attempts");
-  occurrences_ = metrics_->counter("sched.occurrences");
-  violation_counter_ = metrics_->counter("sched.violations");
-  accepted_ = metrics_->counter("sched.decisions.accepted");
-  rejected_ = metrics_->counter("sched.decisions.rejected");
+  counters_ = &metrics_->handles<Metrics>();
   actor_obs_.tracer = tracer_;
   actor_obs_.alphabet = ctx_->alphabet();
   actor_obs_.sim = network_->sim();
   if (observe_lifecycle_) {
-    decision_latency_ = metrics_->histogram("sched.decision_latency_us");
-    actor_obs_.reduction_steps =
-        metrics_->histogram("sched.guard_reduction_steps");
-    actor_obs_.parked_depth = metrics_->histogram("sched.parked_depth");
-    actor_obs_.parks = metrics_->counter("sched.parks");
+    const LifecycleMetrics& lifecycle = metrics_->handles<LifecycleMetrics>();
+    decision_latency_ = lifecycle.decision_latency;
+    actor_obs_.reduction_steps = lifecycle.reduction_steps;
+    actor_obs_.parked_depth = lifecycle.parked_depth;
+    actor_obs_.parks = lifecycle.parks;
   }
   if (options.metrics != nullptr) {
     // Cache effectiveness counters land next to the sched.* metrics. The
@@ -91,32 +122,29 @@ void GuardScheduler::Init(const ParsedWorkflow& workflow,
 Status GuardScheduler::AddInstance(const ParsedWorkflow& workflow) {
   CompileOptions copts;
   copts.simplify = options_.simplify_guards;
-  CompiledWorkflow compiled = CompileWorkflow(ctx_, workflow.spec, copts);
-  return Install(compiled, workflow);
+  return Install(CompileWorkflowShared(ctx_, workflow.spec, copts), workflow);
 }
 
 Status GuardScheduler::AddInstanceCompiled(CompiledWorkflowRef compiled,
                                            const ParsedWorkflow& workflow) {
-  CDES_RETURN_IF_ERROR(Install(*compiled, workflow));
-  shared_compiles_.push_back(std::move(compiled));
-  return Status::OK();
+  return Install(std::move(compiled), workflow);
 }
 
-Status GuardScheduler::Install(const CompiledWorkflow& compiled,
+Status GuardScheduler::Install(CompiledWorkflowRef compiled,
                                const ParsedWorkflow& workflow) {
-  for (SymbolId symbol : compiled.symbols()) {
-    if (actors_.count(symbol)) {
+  const std::set<SymbolId>& symbols = compiled->symbols();
+  for (SymbolId symbol : symbols) {
+    if (FindSlot(symbol) != nullptr) {
       return Status::AlreadyExists(StrCat(
           "instance shares event symbol '", ctx_->alphabet()->Name(symbol),
           "' with an installed instance; instances must be symbol-disjoint"));
     }
   }
-  impossible_ |= compiled.impossible();
-  for (const Dependency& dep : workflow.spec.dependencies()) {
-    spec_.Add(dep.name, dep.expr);
+  impossible_ |= compiled->impossible();
+  if (!symbols.empty() && actors_.size() <= *symbols.rbegin()) {
+    actors_.resize(*symbols.rbegin() + 1);
   }
-  for (SymbolId symbol : compiled.symbols()) {
-    symbols_.insert(symbol);
+  for (SymbolId symbol : symbols) {
     int site = 0;
     EventAttributes attrs;
     const EventDecl* decl = workflow.FindEvent(symbol);
@@ -125,37 +153,33 @@ Status GuardScheduler::Install(const CompiledWorkflow& compiled,
       const AgentDecl* agent = workflow.FindAgent(decl->agent);
       if (agent != nullptr) site = agent->site;
     }
-    attrs_[symbol] = attrs;
-    EventLiteral pos = EventLiteral::Positive(symbol);
-    EventLiteral neg_lit = EventLiteral::Complement(symbol);
-    compiled_guards_[pos] = compiled.GuardFor(pos);
-    compiled_guards_[neg_lit] = compiled.GuardFor(neg_lit);
+    Slot& slot = actors_[symbol];
+    slot.compiled = compiled->Find(symbol);
     // The complement literal is scheduler bookkeeping ("e will never
     // occur"): delayable and rejectable, never user-triggerable.
     EventAttributes negative;
-    actors_[symbol] = std::make_unique<EventActor>(
-        this, ctx_, symbol, site, compiled.GuardFor(pos), compiled.GuardFor(neg_lit),
-        attrs, negative, &actor_obs_);
-    if (actor_index_.size() <= symbol) actor_index_.resize(symbol + 1, nullptr);
-    actor_index_[symbol] = actors_[symbol].get();
+    slot.actor = std::make_unique<EventActor>(
+        this, ctx_, symbol, site, slot.compiled->positive,
+        slot.compiled->negative, attrs, negative, &actor_obs_);
     if (options_.profiler != nullptr) {
       // Split the compiled conjunction back into its per-dependency
       // contributions, each registered (deduplicated profiler-wide) as a
       // (dependency, event) site carrying the dependency's spec location.
       GuardProfile& profile = profiles_[symbol];
       profile.profiler = options_.profiler;
-      for (EventLiteral l : {pos, neg_lit}) {
+      for (EventLiteral l :
+           {EventLiteral::Positive(symbol), EventLiteral::Complement(symbol)}) {
         std::vector<GuardProfile::Contribution>& dst =
             l.complemented() ? profile.negative : profile.positive;
-        for (const auto& [di, g] : compiled.ContributionsFor(l)) {
-          const Dependency& dep = compiled.dependencies()[di];
+        for (const auto& [di, g] : compiled->ContributionsFor(l)) {
+          const Dependency& dep = compiled->dependencies()[di];
           dst.push_back(GuardProfile::Contribution{
               options_.profiler->RegisterSite(
                   dep.name, ctx_->alphabet()->LiteralName(l), dep.loc),
               g});
         }
       }
-      actors_[symbol]->set_profile(&profile);
+      slot.actor->set_profile(&profile);
     }
     if (tracer_ != nullptr) {
       tracer_->NameProcess(site, StrCat("site ", site));
@@ -163,47 +187,49 @@ Status GuardScheduler::Install(const CompiledWorkflow& compiled,
                         StrCat("actor ", ctx_->alphabet()->Name(symbol)));
     }
   }
-  // Static subscriptions: an actor hears about every symbol its guards
-  // mention (reduction can only shrink the mentioned set). Instances are
-  // symbol-disjoint, so new subscriptions never involve old actors.
-  for (SymbolId symbol : compiled.symbols()) {
-    std::set<SymbolId> mentioned =
-        GuardSymbols(compiled.GuardFor(EventLiteral::Positive(symbol)));
-    std::set<SymbolId> neg =
-        GuardSymbols(compiled.GuardFor(EventLiteral::Complement(symbol)));
-    mentioned.insert(neg.begin(), neg.end());
-    for (SymbolId m : mentioned) {
-      if (m != symbol) subscribers_[m].insert(symbol);
-    }
-  }
+  tables_.push_back(std::move(compiled));
   return Status::OK();
 }
 
+std::vector<SymbolId> GuardScheduler::symbols() const {
+  std::vector<SymbolId> out;
+  for (const Slot& slot : actors_) {
+    if (slot.actor != nullptr) out.push_back(slot.actor->symbol());
+  }
+  return out;
+}
+
 const Guard* GuardScheduler::CompiledGuardOf(EventLiteral literal) const {
-  auto it = compiled_guards_.find(literal);
-  return it == compiled_guards_.end() ? ctx_->guards()->True() : it->second;
+  const Slot* slot = FindSlot(literal.symbol());
+  if (slot == nullptr) return ctx_->guards()->True();
+  return literal.complemented() ? slot->compiled->negative
+                                : slot->compiled->positive;
+}
+
+void GuardScheduler::RecordViolation(EventLiteral) {
+  ++violations_;
+  counters_->violations->Increment();
 }
 
 void GuardScheduler::Attempt(EventLiteral literal, AttemptCallback done) {
-  attempts_->Increment();
+  counters_->attempts->Increment();
   if (impossible_) {
     // Some dependency is unsatisfiable: no event can ever be part of an
     // acceptable computation.
-    rejected_->Increment();
+    counters_->rejected->Increment();
     if (done) done(Decision::kRejected);
     return;
   }
-  auto it = actors_.find(literal.symbol());
-  if (it == actors_.end()) {
+  EventActor* actor = FindActor(literal.symbol());
+  if (actor == nullptr) {
     // An event no dependency mentions is not significant for coordination
     // (§2): it occurs immediately and is not recorded. (Recording it
     // would also break trace validity for looping tasks, whose repeated
     // internal events are exactly the insignificant ones — §5.2.)
-    accepted_->Increment();
+    counters_->accepted->Increment();
     if (done) done(Decision::kAccepted);
     return;
   }
-  EventActor* actor = it->second.get();
   if (observe_lifecycle_) {
     done = WrapAttempt(literal, actor->site(), std::move(done));
   }
@@ -244,26 +270,29 @@ AttemptCallback GuardScheduler::WrapAttempt(EventLiteral literal, int site,
                          now, site, lane);
       }
       if (decision_latency_ != nullptr) decision_latency_->Observe(now - t0);
-      (decision == Decision::kAccepted ? accepted_ : rejected_)->Increment();
+      (decision == Decision::kAccepted ? counters_->accepted
+                                       : counters_->rejected)
+          ->Increment();
     }
     if (done) done(decision);
   };
 }
 
 const Guard* GuardScheduler::CurrentGuardOf(EventLiteral literal) const {
-  auto it = actors_.find(literal.symbol());
-  if (it == actors_.end()) return CompiledGuardOf(literal);
-  return it->second->CurrentGuard(literal);
+  const EventActor* actor = FindActor(literal.symbol());
+  if (actor == nullptr) return CompiledGuardOf(literal);
+  return actor->CurrentGuard(literal);
 }
 
 EventActor* GuardScheduler::actor(SymbolId symbol) {
-  auto it = actors_.find(symbol);
-  return it == actors_.end() ? nullptr : it->second.get();
+  return FindActor(symbol);
 }
 
 size_t GuardScheduler::parked_count() const {
   size_t n = 0;
-  for (const auto& [symbol, actor] : actors_) n += actor->parked_count();
+  for (const Slot& slot : actors_) {
+    if (slot.actor != nullptr) n += slot.actor->parked_count();
+  }
   return n;
 }
 
@@ -275,20 +304,24 @@ void GuardScheduler::Close() {
 
 std::vector<SymbolId> GuardScheduler::Undecided() const {
   std::vector<SymbolId> out;
-  for (const auto& [symbol, actor] : actors_) {
-    if (!actor->decided()) out.push_back(symbol);
+  for (const Slot& slot : actors_) {
+    if (slot.actor != nullptr && !slot.actor->decided()) {
+      out.push_back(slot.actor->symbol());
+    }
   }
   return out;
 }
 
 bool GuardScheduler::HistoryConsistent(bool require_satisfaction) const {
-  for (const Dependency& dep : spec_.dependencies()) {
-    const Expr* residual = ctx_->residuator()->ResiduateTrace(dep.expr,
-                                                              history_);
-    if (require_satisfaction) {
-      if (!residual->IsTop()) return false;
-    } else if (residual->IsZero()) {
-      return false;
+  for (const CompiledWorkflowRef& table : tables_) {
+    for (const Dependency& dep : table->dependencies()) {
+      const Expr* residual =
+          ctx_->residuator()->ResiduateTrace(dep.expr, history_);
+      if (require_satisfaction) {
+        if (!residual->IsTop()) return false;
+      } else if (residual->IsZero()) {
+        return false;
+      }
     }
   }
   return true;
@@ -315,16 +348,16 @@ const char* MessageKindName(RuntimeMessageKind kind) {
 void GuardScheduler::CountMessage(RuntimeMessageKind kind) {
   switch (kind) {
     case RuntimeMessageKind::kAnnounce:
-      sent_announcements_->Increment();
+      counters_->sent_announcements->Increment();
       break;
     case RuntimeMessageKind::kPromise:
-      sent_promises_->Increment();
+      counters_->sent_promises->Increment();
       break;
     case RuntimeMessageKind::kRequestPromise:
-      sent_promise_requests_->Increment();
+      counters_->sent_promise_requests->Increment();
       break;
     case RuntimeMessageKind::kTrigger:
-      sent_triggers_->Increment();
+      counters_->sent_triggers->Increment();
       break;
   }
 }
@@ -332,7 +365,7 @@ void GuardScheduler::CountMessage(RuntimeMessageKind kind) {
 void GuardScheduler::TraceSend(SymbolId from, SymbolId target,
                                const RuntimeMessage& msg) {
   const Alphabet& alphabet = *ctx_->alphabet();
-  int src_site = actors_.at(from)->site();
+  int src_site = FindActor(from)->site();
   SimTime now = network_->sim()->now();
   if (msg.span_id != 0) {
     // Flow arrow origin; TraceDeliver emits the matching end at the
@@ -386,11 +419,11 @@ void GuardScheduler::TraceDeliver(const RuntimeMessage& msg,
 }
 
 void GuardScheduler::Broadcast(SymbolId from, const RuntimeMessage& msg) {
-  auto it = subscribers_.find(from);
-  if (it == subscribers_.end()) return;
-  int src_site = actors_.at(from)->site();
-  for (SymbolId target : it->second) {
-    EventActor* actor = actors_.at(target).get();
+  const Slot* slot = FindSlot(from);
+  if (slot == nullptr) return;
+  int src_site = slot->actor->site();
+  for (SymbolId target : slot->compiled->subscribers) {
+    EventActor* actor = actors_[target].actor.get();
     CountMessage(msg.kind);
     if (tracer_ != nullptr) {
       // Stamp causal context per target: each copy of the broadcast gets
@@ -413,10 +446,9 @@ void GuardScheduler::Broadcast(SymbolId from, const RuntimeMessage& msg) {
 
 void GuardScheduler::SendTo(SymbolId from, SymbolId target,
                             const RuntimeMessage& msg) {
-  auto it = actors_.find(target);
-  if (it == actors_.end()) return;
-  EventActor* actor = it->second.get();
-  int src_site = actors_.at(from)->site();
+  EventActor* actor = FindActor(target);
+  if (actor == nullptr) return;
+  int src_site = FindActor(from)->site();
   CountMessage(msg.kind);
   if (tracer_ != nullptr) {
     RuntimeMessage traced = msg;
@@ -445,9 +477,9 @@ void GuardScheduler::RecordOccurrence(EventLiteral literal,
   if (options_.durable_log != nullptr) {
     options_.durable_log->Append(EventLog::Record{stamp, literal});
   }
-  occurrences_->Increment();
+  counters_->occurrences->Increment();
   if (tracer_ != nullptr) {
-    const EventActor* actor = actors_.at(literal.symbol()).get();
+    const EventActor* actor = FindActor(literal.symbol());
     tracer_->Instant(obs::SpanCategory::kLifecycle,
                      StrCat("occur ", ctx_->alphabet()->LiteralName(literal)),
                      stamp.time, actor->site(), literal.symbol(),
@@ -539,12 +571,11 @@ Status GuardScheduler::Recover(const EventLog& log) {
   // suffix equals folding the full history. No parked attempts exist yet,
   // so nothing can fire.
   for (const EventLog::Record& record : log.records()) {
-    auto sub = subscribers_.find(record.literal.symbol());
-    if (sub == subscribers_.end()) continue;
+    const Slot* slot = FindSlot(record.literal.symbol());
     RuntimeMessage announce{RuntimeMessageKind::kAnnounce, record.literal,
                             record.stamp, EventLiteral(), {}, nullptr, {}};
-    for (SymbolId target : sub->second) {
-      actor_index_[target]->Receive(announce);
+    for (SymbolId target : slot->compiled->subscribers) {
+      actors_[target].actor->Receive(announce);
     }
   }
   return Status::OK();
@@ -561,19 +592,18 @@ CheckpointState GuardScheduler::Snapshot() const {
   state.next_seq = next_seq_;
   state.clock = network_->sim()->now();
   state.history = history_;
-  for (const auto& [symbol, actor] : actors_) {
-    if (actor->decided()) continue;
-    EventLiteral positive = EventLiteral::Positive(symbol);
-    EventLiteral negative = EventLiteral::Complement(symbol);
-    const Guard* heard_positive = actor->HeardResidual(positive);
-    const Guard* heard_negative = actor->HeardResidual(negative);
+  for (const Slot& slot : actors_) {
+    if (slot.actor == nullptr || slot.actor->decided()) continue;
+    SymbolId symbol = slot.actor->symbol();
+    const Guard* heard_positive =
+        slot.actor->HeardResidual(EventLiteral::Positive(symbol));
+    const Guard* heard_negative =
+        slot.actor->HeardResidual(EventLiteral::Complement(symbol));
     // Hash-consing makes "has this actor's knowledge moved its guards?" a
     // pointer comparison; untouched actors are omitted and recovery leaves
     // them on the compiled table.
-    auto cp = compiled_guards_.find(positive);
-    auto cn = compiled_guards_.find(negative);
-    if (cp != compiled_guards_.end() && cp->second == heard_positive &&
-        cn != compiled_guards_.end() && cn->second == heard_negative) {
+    if (slot.compiled->positive == heard_positive &&
+        slot.compiled->negative == heard_negative) {
       continue;
     }
     state.actors.push_back({symbol, heard_positive, heard_negative});
@@ -584,11 +614,9 @@ CheckpointState GuardScheduler::Snapshot() const {
 
 bool GuardScheduler::MayTrigger(EventLiteral literal) const {
   if (literal.complemented()) return false;
-  auto it = attrs_.find(literal.symbol());
-  if (it == attrs_.end()) return false;
-  if (!it->second.triggerable) return false;
-  auto actor_it = actors_.find(literal.symbol());
-  return actor_it != actors_.end() && !actor_it->second->decided();
+  const EventActor* actor = FindActor(literal.symbol());
+  return actor != nullptr && actor->attributes().triggerable &&
+         !actor->decided();
 }
 
 }  // namespace cdes

@@ -127,8 +127,8 @@ class GuardScheduler : public Scheduler, public ActorHost {
   Network* network() const { return network_; }
   /// The exactly-once delivery layer protocol messages ride on.
   ReliableTransport* transport() const { return transport_.get(); }
-  /// Symbols of all installed instances.
-  const std::set<SymbolId>& symbols() const { return symbols_; }
+  /// Symbols of all installed instances, ascending.
+  std::vector<SymbolId> symbols() const;
 
   /// Drives the computation toward a maximal trace (the universe U_T over
   /// which guards are interpreted): attempts the complement of every still
@@ -173,29 +173,40 @@ class GuardScheduler : public Scheduler, public ActorHost {
               const RuntimeMessage& msg) override;
   OccurrenceStamp NextStamp() override;
   void RecordOccurrence(EventLiteral literal, OccurrenceStamp stamp) override;
-  void RecordViolation(EventLiteral) override {
-    ++violations_;
-    violation_counter_->Increment();
-  }
+  void RecordViolation(EventLiteral) override;
   bool MayTrigger(EventLiteral literal) const override;
   bool PromisesEnabled() const override { return options_.enable_promises; }
 
  private:
+  struct Metrics;
+  struct LifecycleMetrics;
+  /// One installed symbol: its actor and its entry in the compiled table
+  /// the actor was built from (guards and subscribers).
+  struct Slot {
+    std::unique_ptr<EventActor> actor;
+    const CompiledWorkflow::SymbolEntry* compiled = nullptr;
+  };
+
   /// Shared constructor body: resolves metric handles and installs the
   /// first instance (compiling it unless `compiled` is provided).
   void Init(const ParsedWorkflow& workflow, CompiledWorkflowRef compiled);
-  /// Instantiates actors and subscriptions for one compiled instance.
-  Status Install(const CompiledWorkflow& compiled,
-                 const ParsedWorkflow& workflow);
+  /// Instantiates actors for one compiled instance and keeps the table.
+  Status Install(CompiledWorkflowRef compiled, const ParsedWorkflow& workflow);
   /// Wraps an attempt callback with lifecycle tracing and decision-latency
   /// accounting (only called when observe_lifecycle_).
   AttemptCallback WrapAttempt(EventLiteral literal, int site,
                               AttemptCallback done);
   void CountMessage(RuntimeMessageKind kind);
-  /// O(1) actor lookup through the dense index; nullptr when `symbol` has
-  /// no actor in this scheduler.
+  /// O(1) lookup of an installed symbol; nullptr when `symbol` has no
+  /// actor in this scheduler.
+  const Slot* FindSlot(SymbolId symbol) const {
+    return symbol < actors_.size() && actors_[symbol].actor != nullptr
+               ? &actors_[symbol]
+               : nullptr;
+  }
   EventActor* FindActor(SymbolId symbol) const {
-    return symbol < actor_index_.size() ? actor_index_[symbol] : nullptr;
+    const Slot* slot = FindSlot(symbol);
+    return slot != nullptr ? slot->actor.get() : nullptr;
   }
   void TraceSend(SymbolId from, SymbolId target, const RuntimeMessage& msg);
   /// Assimilation instant + flow-arrow end at the destination actor; runs
@@ -210,31 +221,23 @@ class GuardScheduler : public Scheduler, public ActorHost {
   /// the network has fault injection configured.
   std::unique_ptr<ReliableTransport> transport_;
   GuardSchedulerOptions options_;
-  /// Per-literal compiled guards across all installed instances.
-  std::map<EventLiteral, const Guard*> compiled_guards_;
-  std::set<SymbolId> symbols_;
   bool impossible_ = false;
-  std::map<SymbolId, std::unique_ptr<EventActor>> actors_;
-  /// Dense SymbolId → actor view over actors_ (nullptr for symbols not
-  /// installed here). Recover's restore/replay passes do one lookup per
-  /// log record across tens of thousands of records; indexing a vector
-  /// replaces a red-black-tree walk each time. actors_ keeps ownership
-  /// and deterministic iteration order.
-  std::vector<EventActor*> actor_index_;
+  /// The compiled tables of the installed instances. Everything that
+  /// depends only on the workflow — compiled guards, dependencies,
+  /// subscribers — is read from here; declared first so the tables outlive
+  /// the slots that point into them.
+  std::vector<CompiledWorkflowRef> tables_;
+  /// Actors indexed by SymbolId (empty slots for symbols not installed
+  /// here), so iteration runs in ascending symbol order and a lookup is one
+  /// index.
+  std::vector<Slot> actors_;
   /// Per-actor contribution→site tables when options_.profiler is set
   /// (node-stable map: actors hold pointers into it).
   std::map<SymbolId, GuardProfile> profiles_;
-  /// symbol → symbols of actors whose guards mention it.
-  std::map<SymbolId, std::set<SymbolId>> subscribers_;
-  std::map<SymbolId, EventAttributes> attrs_;
   Trace history_;
   std::vector<std::function<void(EventLiteral)>> listeners_;
   uint64_t next_seq_ = 0;
   size_t violations_ = 0;
-  WorkflowSpec spec_;
-  /// Shared compiled tables installed via AddInstanceCompiled, kept alive
-  /// for the actors that point into them.
-  std::vector<CompiledWorkflowRef> shared_compiles_;
 
   // ---- Observability (see docs/OBSERVABILITY.md) ----
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
@@ -244,16 +247,9 @@ class GuardScheduler : public Scheduler, public ActorHost {
   /// per-attempt wrapping that costs an allocation per attempt.
   bool observe_lifecycle_ = false;
   obs::ActorObs actor_obs_;
-  /// Message-kind counters (always on).
-  obs::Counter* sent_announcements_ = nullptr;
-  obs::Counter* sent_promises_ = nullptr;
-  obs::Counter* sent_promise_requests_ = nullptr;
-  obs::Counter* sent_triggers_ = nullptr;
-  obs::Counter* attempts_ = nullptr;
-  obs::Counter* occurrences_ = nullptr;
-  obs::Counter* violation_counter_ = nullptr;
-  obs::Counter* accepted_ = nullptr;
-  obs::Counter* rejected_ = nullptr;
+  /// Message-kind and decision counters (always on), resolved once per
+  /// registry and shared by every scheduler reporting into it.
+  const Metrics* counters_ = nullptr;
   obs::Histogram* decision_latency_ = nullptr;
   uint64_t attempt_seq_ = 0;
   /// Span-id generator for causal trace contexts (0 = unstamped).

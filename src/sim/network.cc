@@ -3,6 +3,29 @@
 #include "common/strings.h"
 
 namespace cdes {
+namespace {
+
+/// The network's "net.*" metrics, resolved once per registry.
+struct NetworkMetrics {
+  explicit NetworkMetrics(obs::MetricsRegistry* registry)
+      : messages(registry->counter("net.messages")),
+        bytes(registry->counter("net.bytes")),
+        remote_messages(registry->counter("net.remote_messages")),
+        dropped(registry->counter("net.dropped")),
+        duplicated(registry->counter("net.duplicated")),
+        partitioned(registry->counter("net.partitioned")),
+        latency(registry->histogram("net.latency_us")) {}
+
+  obs::Counter* messages;
+  obs::Counter* bytes;
+  obs::Counter* remote_messages;
+  obs::Counter* dropped;
+  obs::Counter* duplicated;
+  obs::Counter* partitioned;
+  obs::Histogram* latency;
+};
+
+}  // namespace
 
 Network::Network(Simulator* sim, size_t site_count,
                  const NetworkOptions& options)
@@ -14,32 +37,20 @@ Network::Network(Simulator* sim, size_t site_count,
     owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
     metrics_ = owned_metrics_.get();
   }
-  messages_ = metrics_->counter("net.messages");
-  bytes_ = metrics_->counter("net.bytes");
-  remote_messages_ = metrics_->counter("net.remote_messages");
-  dropped_ = metrics_->counter("net.dropped");
-  duplicated_ = metrics_->counter("net.duplicated");
-  partitioned_ = metrics_->counter("net.partitioned");
-  latency_ = metrics_->histogram("net.latency_us");
+  const NetworkMetrics& metrics = metrics_->handles<NetworkMetrics>();
+  messages_ = metrics.messages;
+  bytes_ = metrics.bytes;
+  remote_messages_ = metrics.remote_messages;
+  dropped_ = metrics.dropped;
+  duplicated_ = metrics.duplicated;
+  partitioned_ = metrics.partitioned;
+  latency_ = metrics.latency;
   if (tracer_ != nullptr) {
     for (size_t s = 0; s < site_count_; ++s) {
       tracer_->NameProcess(static_cast<int>(s), StrCat("site ", s));
       tracer_->NameLane(static_cast<int>(s), 0, "transport");
     }
   }
-}
-
-NetworkStats Network::stats() const {
-  NetworkStats out;
-  out.messages = messages_->value();
-  out.bytes = bytes_->value();
-  out.remote_messages = remote_messages_->value();
-  out.delivered = latency_->count();
-  out.dropped = dropped_->value();
-  out.duplicated = duplicated_->value();
-  out.partitioned = partitioned_->value();
-  out.total_latency = latency_->sum();
-  return out;
 }
 
 void Network::SchedulePartition(std::set<int> group, SimTime from,

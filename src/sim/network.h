@@ -38,33 +38,12 @@ struct NetworkOptions {
   uint64_t seed = 1;
   /// When set, per-message counters and the delivery-latency histogram
   /// land in this registry ("net.*" names); otherwise the network keeps a
-  /// private registry so stats() always works.
+  /// private registry, read through metrics().
   obs::MetricsRegistry* metrics = nullptr;
   /// When set, every message becomes an in-flight async span (send at the
   /// source site, deliver at the destination site); lost messages become
   /// "lost" instants at the source.
   obs::TraceRecorder* tracer = nullptr;
-};
-
-/// Snapshot view of the network's "net.*" metrics, kept for source
-/// compatibility with pre-obs callers; the registry is the ground truth.
-struct NetworkStats {
-  uint64_t messages = 0;
-  uint64_t bytes = 0;
-  uint64_t remote_messages = 0;
-  /// Deliveries actually executed (original sends that survived the fault
-  /// pipeline, plus duplicated copies). Equals `messages` on a fault-free
-  /// network.
-  uint64_t delivered = 0;
-  uint64_t dropped = 0;
-  uint64_t duplicated = 0;
-  uint64_t partitioned = 0;
-  SimTime total_latency = 0;
-
-  double MeanLatency() const {
-    return delivered == 0 ? 0.0
-                          : static_cast<double>(total_latency) / delivered;
-  }
 };
 
 /// A simulated message-passing network among `site_count` sites.
@@ -117,8 +96,6 @@ class Network {
            options_.duplicate_probability > 0 || !partitions_.empty();
   }
 
-  /// Snapshot assembled from the metrics registry.
-  NetworkStats stats() const;
   /// The registry the "net.*" metrics report into (the installed one, or
   /// the private fallback).
   obs::MetricsRegistry* metrics() const { return metrics_; }

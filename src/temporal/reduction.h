@@ -74,8 +74,9 @@ class ReductionCache {
   /// fixed registry). Counters start from the registry's current values —
   /// raw hits()/misses() remain the cache-lifetime truth.
   void AttachMetrics(obs::MetricsRegistry* registry) {
-    hit_counter_ = registry->counter("guards.reduction_cache_hits");
-    miss_counter_ = registry->counter("guards.reduction_cache_misses");
+    const Counters& counters = registry->handles<Counters>();
+    hit_counter_ = counters.hits;
+    miss_counter_ = counters.misses;
   }
 
   uint64_t hits() const { return hits_; }
@@ -83,6 +84,13 @@ class ReductionCache {
   size_t size() const { return map_.size(); }
 
  private:
+  struct Counters {
+    explicit Counters(obs::MetricsRegistry* registry)
+        : hits(registry->counter("guards.reduction_cache_hits")),
+          misses(registry->counter("guards.reduction_cache_misses")) {}
+    obs::Counter* hits;
+    obs::Counter* misses;
+  };
   struct Key {
     const Guard* g;
     uint64_t ann;

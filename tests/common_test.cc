@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -105,6 +107,66 @@ TEST(StringsTest, StrJoin) {
 TEST(StringsTest, StrCat) {
   EXPECT_EQ(StrCat("x=", 3, ", y=", 4.5), "x=3, y=4.5");
   EXPECT_EQ(StrCat(), "");
+}
+
+enum class Phase { kOpen = 2 };
+std::ostream& operator<<(std::ostream& out, Phase p) {
+  return out << "phase#" << static_cast<int>(p);
+}
+enum Plain { kPlainValue = -7 };
+
+/// Formats `value` the way the stream-based StrCat used to.
+template <typename T>
+std::string Streamed(const T& value) {
+  std::ostringstream out;
+  out << value;
+  return out.str();
+}
+
+TEST(StringsTest, StrCatMatchesStreamFormatting) {
+  // Integers go through std::to_chars; the extremes and zero must print as
+  // a stream prints them.
+  for (int64_t v : {INT64_MIN, int64_t{-1}, int64_t{0}, INT64_MAX}) {
+    EXPECT_EQ(StrCat(v), Streamed(v));
+  }
+  for (uint64_t v : {uint64_t{0}, uint64_t{10}, UINT64_MAX}) {
+    EXPECT_EQ(StrCat(v), Streamed(v));
+  }
+  EXPECT_EQ(StrCat(int32_t{INT32_MIN}), Streamed(int32_t{INT32_MIN}));
+  EXPECT_EQ(StrCat(uint16_t{65535}), Streamed(uint16_t{65535}));
+  EXPECT_EQ(StrCat(size_t{42}), Streamed(size_t{42}));
+  // bool prints as 1/0 (no boolalpha); the three char types as characters.
+  EXPECT_EQ(StrCat(true, false), Streamed(true) + Streamed(false));
+  EXPECT_EQ(StrCat('x'), Streamed('x'));
+  EXPECT_EQ(StrCat(static_cast<signed char>('A')),
+            Streamed(static_cast<signed char>('A')));
+  EXPECT_EQ(StrCat(static_cast<unsigned char>('z')),
+            Streamed(static_cast<unsigned char>('z')));
+  EXPECT_EQ(StrCat(int8_t{65}, uint8_t{66}), "AB");
+  // String-likes are appended verbatim, embedded NULs included for the
+  // sized ones.
+  const char* c_string = "c-string";
+  EXPECT_EQ(StrCat(c_string), Streamed(c_string));
+  EXPECT_EQ(StrCat("literal"), Streamed("literal"));
+  std::string with_nul("a\0b", 3);
+  EXPECT_EQ(StrCat(with_nul), Streamed(with_nul));
+  EXPECT_EQ(StrCat(std::string_view(with_nul)),
+            Streamed(std::string_view(with_nul)));
+  // Everything else keeps the stream: floating point, enums (scoped with
+  // an operator<<, unscoped through integer promotion), Status.
+  EXPECT_EQ(StrCat(4.5, " ", 1e-7, " ", 0.1f), "4.5 1e-07 0.1");
+  EXPECT_EQ(StrCat(2.0 / 3.0), Streamed(2.0 / 3.0));
+  EXPECT_EQ(StrCat(Phase::kOpen), Streamed(Phase::kOpen));
+  EXPECT_EQ(StrCat(kPlainValue), Streamed(kPlainValue));
+  Status status = Status::NotFound("gone");
+  EXPECT_EQ(StrCat(status), Streamed(status));
+  // Mixed arguments concatenate in order; StrJoin formats the same way.
+  EXPECT_EQ(StrCat("id=", UINT64_MAX, ' ', true, ":", -3, "/", 0.25),
+            "id=18446744073709551615 1:-3/0.25");
+  EXPECT_EQ(StrJoin(std::vector<int64_t>{INT64_MIN, 0}, ","),
+            Streamed(INT64_MIN) + ",0");
+  EXPECT_EQ(StrJoin(std::vector<bool>{true, false}, ""), "10");
+  EXPECT_EQ(StrJoin(std::vector<char>{'a', 'b'}, "-"), "a-b");
 }
 
 TEST(StringsTest, StrSplit) {

@@ -301,8 +301,8 @@ TEST(FailureInjectionTest, FaultFreeRunsPayNothingForTheTransport) {
   EXPECT_TRUE(w.sched->HistoryConsistent());
   EXPECT_EQ(w.sched->transport()->acks(), 0u);
   EXPECT_EQ(w.sched->transport()->retransmits(), 0u);
-  EXPECT_EQ(w.network->stats().dropped, 0u);
-  EXPECT_EQ(w.network->stats().duplicated, 0u);
+  EXPECT_EQ(w.network->metrics()->counter("net.dropped")->value(), 0u);
+  EXPECT_EQ(w.network->metrics()->counter("net.duplicated")->value(), 0u);
 }
 
 // ---- Announcement ordering at the actors (the hold-back queue) ----
@@ -348,9 +348,9 @@ TEST(AnnouncementOrderingTest, HoldBackQueueAssimilatesInStampOrder) {
       actor->Receive(
           Announce(lit.value(), static_cast<SimTime>(100 * seq), seq));
       w.sim.Run();
-      // Checked after every delivery, so the actor's memoized prefix fold
-      // is extended before a late (earlier-stamped) arrival must truncate
-      // it.
+      // Checked after every delivery, so the actor has already folded
+      // later-stamped announcements when an earlier-stamped one arrives and
+      // must be folded ahead of them.
       in_stamp_order.emplace(seq, lit.value());
       const Guard* expected = w.sched->CompiledGuardOf(f.value());
       for (const auto& [stamp_seq, heard] : in_stamp_order) {

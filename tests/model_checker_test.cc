@@ -308,7 +308,7 @@ TEST(ModelCheckerPropertyTest, PartialOrderReductionPreservesFindings) {
 // the paper's declarative semantics (Definition 4) as the oracle. Two
 // networks: every actor on one site, and one actor per site on a jittered
 // non-FIFO 4-site network, where announcements reach actors out of stamp
-// order and the actors' memoized prefix folds must truncate and refold.
+// order and each actor must still fold what it heard in stamp order.
 // Counts into `*closed` the seeds whose closure was cross-checked.
 void CheckSchedulerClosures(bool jittered, size_t* closed) {
   constexpr size_t kSymbols = 4;

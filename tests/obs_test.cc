@@ -512,9 +512,9 @@ TEST(ObsIntegrationTest, TravelSpansReconcileWithMessageCounters) {
   EXPECT_EQ(w.metrics.counter("sched.occurrences")->value(),
             sched.history().size());
   EXPECT_EQ(w.metrics.counter("net.messages")->value(),
-            w.network->stats().messages);
+            w.network->metrics()->counter("net.messages")->value());
   EXPECT_GE(w.metrics.counter("sim.steps")->value(),
-            w.network->stats().messages);
+            w.network->metrics()->counter("net.messages")->value());
 
   // The exported Chrome trace is valid JSON with globally sorted ts.
   auto parsed = obs::ParseJson(obs::ChromeTraceJson(w.recorder));

@@ -25,7 +25,7 @@ TEST(ReliableTransportTest, PassthroughWhenNetworkIsReliable) {
   EXPECT_EQ(delivered, 10);
   // No protocol overhead on a fault-free network: the raw message count
   // equals the payload count — no acks, no retransmissions, no timers.
-  EXPECT_EQ(net.stats().messages, 10u);
+  EXPECT_EQ(net.metrics()->counter("net.messages")->value(), 10u);
   EXPECT_EQ(transport.retransmits(), 0u);
   EXPECT_EQ(transport.acks(), 0u);
   EXPECT_EQ(transport.in_flight(), 0u);
@@ -87,7 +87,7 @@ TEST(ReliableTransportTest, ExactlyOnceUnderDuplication) {
     EXPECT_EQ(arrivals[i], 1) << "payload " << i;
   }
   // The network really did duplicate frames; the receiver suppressed them.
-  EXPECT_GT(net.stats().duplicated, 0u);
+  EXPECT_GT(net.metrics()->counter("net.duplicated")->value(), 0u);
   EXPECT_GT(net.metrics()->counter("net.rel.duplicates_suppressed")->value(),
             0u);
   EXPECT_EQ(transport.in_flight(), 0u);
@@ -110,7 +110,7 @@ TEST(ReliableTransportTest, RetransmitsThroughAPartitionUntilItHeals) {
   EXPECT_EQ(delivered, 1);
   EXPECT_GE(delivered_at, 5000u);  // only after the heal
   EXPECT_GT(transport.retransmits(), 0u);
-  EXPECT_GT(net.stats().partitioned, 0u);
+  EXPECT_GT(net.metrics()->counter("net.partitioned")->value(), 0u);
   EXPECT_EQ(transport.in_flight(), 0u);
 }
 

@@ -270,6 +270,117 @@ TEST(GuardSchedulerTest, TravelCompensationTriggersCancel) {
 
 // ------------------------------------------------- Attribute handling
 
+// Two symbol-disjoint instances whose symbol ids interleave (a* even, b*
+// odd), one installed by the compiled constructor and one by AddInstance:
+// everything the scheduler walks over all installed symbols — Undecided(),
+// Close()'s complement attempts, a broadcast's targets — comes out in
+// ascending symbol order across both instances, because send order fixes
+// the simulator's sequence numbers.
+constexpr char kOrderSpecA[] = R"(
+workflow a {
+  agent p @ site(0);
+  agent q @ site(1);
+  event a1 agent(p);
+  event a2 agent(q) attrs(triggerable);
+  event a3 agent(q);
+  dep d1: a1 < a3;
+  dep d2: a1 < a2;
+}
+)";
+constexpr char kOrderSpecB[] = R"(
+workflow b {
+  agent p @ site(0);
+  agent q @ site(1);
+  event b1 agent(p);
+  event b2 agent(q);
+  event b3 agent(q) attrs(triggerable);
+  dep e1: b1 < b3;
+  dep e2: b1 < b2;
+}
+)";
+
+TEST(GuardSchedulerTest, InstancesIterateInAscendingSymbolOrder) {
+  WorkflowContext ctx;
+  for (const char* name : {"a1", "b1", "a2", "b2", "a3", "b3", "z"}) {
+    ctx.alphabet()->Intern(name);
+  }
+  auto a = ParseWorkflow(&ctx, kOrderSpecA);
+  auto b = ParseWorkflow(&ctx, kOrderSpecB);
+  ASSERT_TRUE(a.ok()) << a.status();
+  ASSERT_TRUE(b.ok()) << b.status();
+  Simulator sim;
+  NetworkOptions nopts;
+  nopts.base_latency = 100;
+  Network net(&sim, 2, nopts);
+  obs::TraceRecorder tracer;
+  GuardSchedulerOptions options;
+  options.tracer = &tracer;
+  CompiledWorkflowRef compiled = CompileWorkflowShared(&ctx, a.value().spec);
+  GuardScheduler sched(&ctx, compiled, a.value(), &net, options);
+  ASSERT_TRUE(sched.AddInstance(b.value()).ok());
+  auto lit = [&](std::string_view name) {
+    return ctx.alphabet()->ParseLiteral(name).value();
+  };
+  auto names = [&](const std::vector<SymbolId>& symbols) {
+    std::vector<std::string> out;
+    for (SymbolId s : symbols) out.push_back(ctx.alphabet()->Name(s));
+    return out;
+  };
+  const std::vector<std::string> all = {"a1", "b1", "a2", "b2", "a3", "b3"};
+  EXPECT_EQ(names(sched.Undecided()), all);
+  EXPECT_EQ(names(sched.symbols()), all);
+
+  // A symbol outside both instances: no actor, ⊤ guards, never triggered,
+  // and its attempts are accepted without coordination.
+  const Guard* top = ctx.guards()->True();
+  EXPECT_EQ(sched.actor(lit("z").symbol()), nullptr);
+  EXPECT_EQ(sched.CompiledGuardOf(lit("z")), top);
+  EXPECT_EQ(sched.CompiledGuardOf(lit("~z")), top);
+  EXPECT_EQ(sched.CurrentGuardOf(lit("z")), top);
+  EXPECT_FALSE(sched.MayTrigger(lit("z")));
+  EXPECT_FALSE(sched.MayTrigger(lit("~z")));
+  EXPECT_EQ(sched.CompiledGuardOf(lit("~a3")),
+            compiled->GuardFor(lit("~a3")));
+  EXPECT_TRUE(sched.MayTrigger(lit("a2")));
+  EXPECT_TRUE(sched.MayTrigger(lit("b3")));
+  EXPECT_FALSE(sched.MayTrigger(lit("~a2")));
+  EXPECT_FALSE(sched.MayTrigger(lit("a1")));
+  Decision z_decision = Decision::kParked;
+  sched.Attempt(lit("z"), [&](Decision d) { z_decision = d; });
+  EXPECT_EQ(z_decision, Decision::kAccepted);
+
+  // Every a1/b1 subscriber hears the occurrence, in ascending symbol order
+  // (d1/e1 name the higher-numbered subscriber first).
+  sched.Attempt(lit("a1"), AttemptCallback());
+  sched.Attempt(lit("b1"), AttemptCallback());
+  sim.Run();
+  std::vector<std::string> announced;
+  for (const obs::TraceEvent& event : tracer.events()) {
+    if (event.name != "announce a1" && event.name != "announce b1") continue;
+    for (const auto& [key, value] : event.args) {
+      if (key == "to") announced.push_back(event.name + " to " + value);
+    }
+  }
+  EXPECT_EQ(announced,
+            (std::vector<std::string>{"announce a1 to a2", "announce a1 to a3",
+                                      "announce b1 to b2",
+                                      "announce b1 to b3"}));
+
+  // Close() attempts the complement of every undecided symbol in ascending
+  // symbol order, interleaving the two instances.
+  size_t first = tracer.events().size();
+  sched.Close();
+  std::vector<std::string> closing;
+  for (size_t i = first; i < tracer.events().size(); ++i) {
+    const std::string& name = tracer.events()[i].name;
+    if (name.rfind("attempt ", 0) == 0) closing.push_back(name);
+  }
+  EXPECT_EQ(closing, (std::vector<std::string>{"attempt ~a2", "attempt ~b2",
+                                               "attempt ~a3", "attempt ~b3"}));
+  sim.Run();
+  EXPECT_TRUE(sched.HistoryConsistent());
+}
+
 TEST(GuardSchedulerTest, NonRejectableEventForcedThroughZeroGuard) {
   constexpr char kAbort[] = R"(
 workflow ab {
@@ -598,12 +709,14 @@ TEST(GuardSchedulerTest, MessageAccountingDistributedVsCentral) {
   World w(kPrecedesSpec);
   w.AttemptAndRun("e");
   w.AttemptAndRun("f");
-  uint64_t distributed_msgs = w.network->stats().messages;
+  uint64_t distributed_msgs =
+      w.network->metrics()->counter("net.messages")->value();
 
   CentralWorld<ResiduationScheduler> c(kPrecedesSpec);
   c.AttemptAndRun("e");
   c.AttemptAndRun("f");
-  uint64_t central_msgs = c.network->stats().messages;
+  uint64_t central_msgs =
+      c.network->metrics()->counter("net.messages")->value();
   EXPECT_GE(central_msgs, 4u);  // 2 attempts × (request + reply)
   EXPECT_GT(distributed_msgs, 0u);
 }

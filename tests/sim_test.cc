@@ -83,9 +83,9 @@ TEST(NetworkTest, DeliversAfterBaseLatency) {
   net.Send(0, 1, 64, [&] { delivered_at = sim.now(); });
   sim.Run();
   EXPECT_EQ(delivered_at, 500u);
-  EXPECT_EQ(net.stats().messages, 1u);
-  EXPECT_EQ(net.stats().bytes, 64u);
-  EXPECT_EQ(net.stats().remote_messages, 1u);
+  EXPECT_EQ(net.metrics()->counter("net.messages")->value(), 1u);
+  EXPECT_EQ(net.metrics()->counter("net.bytes")->value(), 64u);
+  EXPECT_EQ(net.metrics()->counter("net.remote_messages")->value(), 1u);
 }
 
 TEST(NetworkTest, LocalDeliveryUsesLocalLatency) {
@@ -98,7 +98,7 @@ TEST(NetworkTest, LocalDeliveryUsesLocalLatency) {
   net.Send(1, 1, 16, [&] { delivered_at = sim.now(); });
   sim.Run();
   EXPECT_EQ(delivered_at, 2u);
-  EXPECT_EQ(net.stats().remote_messages, 0u);
+  EXPECT_EQ(net.metrics()->counter("net.remote_messages")->value(), 0u);
 }
 
 TEST(NetworkTest, PerLinkOverride) {
@@ -182,7 +182,7 @@ TEST(NetworkTest, MeanLatencyAccounting) {
   Network net(&sim, 2, options);
   for (int i = 0; i < 10; ++i) net.Send(0, 1, 8, [] {});
   sim.Run();
-  EXPECT_DOUBLE_EQ(net.stats().MeanLatency(), 200.0);
+  EXPECT_DOUBLE_EQ(net.metrics()->histogram("net.latency_us")->Mean(), 200.0);
 }
 
 // ---- Fault injection ----
@@ -200,9 +200,10 @@ TEST(NetworkFaultTest, DropProbabilityOneLosesEverythingRemote) {
   sim.Run();
   EXPECT_EQ(remote, 0);
   EXPECT_EQ(local, 5);
-  EXPECT_EQ(net.stats().dropped, 20u);
-  EXPECT_EQ(net.stats().delivered, 5u);
-  EXPECT_EQ(net.stats().messages, 25u);  // sends are counted, not arrivals
+  EXPECT_EQ(net.metrics()->counter("net.dropped")->value(), 20u);
+  EXPECT_EQ(net.metrics()->histogram("net.latency_us")->count(), 5u);
+  // Sends are counted, not arrivals.
+  EXPECT_EQ(net.metrics()->counter("net.messages")->value(), 25u);
 }
 
 TEST(NetworkFaultTest, DuplicationDeliversExtraCopies) {
@@ -216,9 +217,9 @@ TEST(NetworkFaultTest, DuplicationDeliversExtraCopies) {
   for (int i = 0; i < 10; ++i) net.Send(0, 1, 8, [&] { ++arrivals; });
   sim.Run();
   EXPECT_EQ(arrivals, 20);
-  EXPECT_EQ(net.stats().duplicated, 10u);
-  EXPECT_EQ(net.stats().delivered, 20u);
-  EXPECT_EQ(net.stats().messages, 10u);
+  EXPECT_EQ(net.metrics()->counter("net.duplicated")->value(), 10u);
+  EXPECT_EQ(net.metrics()->histogram("net.latency_us")->count(), 20u);
+  EXPECT_EQ(net.metrics()->counter("net.messages")->value(), 10u);
 }
 
 TEST(NetworkFaultTest, PartitionWindowBlocksThenHeals) {
@@ -240,7 +241,7 @@ TEST(NetworkFaultTest, PartitionWindowBlocksThenHeals) {
   EXPECT_EQ(inside, 0);  // partitions cut both directions
   EXPECT_EQ(after, 1);   // healed at t=1000 (window is half-open)
   EXPECT_EQ(local, 1);
-  EXPECT_EQ(net.stats().partitioned, 2u);
+  EXPECT_EQ(net.metrics()->counter("net.partitioned")->value(), 2u);
 }
 
 TEST(NetworkFaultTest, FaultInjectionActiveReflectsKnobs) {
