@@ -114,12 +114,6 @@ inline std::vector<std::string> TravelHappyScript(ParamValue cid) {
           StrCat("c_buy[", cid, "]")};
 }
 
-/// The compensation-path script.
-inline std::vector<std::string> TravelCompensationScript(ParamValue cid) {
-  return {StrCat("s_buy[", cid, "]"), StrCat("c_book[", cid, "]"),
-          StrCat("~c_buy[", cid, "]")};
-}
-
 struct DriveResult {
   SimTime completion_time = 0;
   uint64_t messages = 0;

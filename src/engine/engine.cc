@@ -268,15 +268,6 @@ Status Engine::RecoverDir(const std::string& dir) {
   return Recover(logs);
 }
 
-void Engine::Checkpoint() {
-  CDES_CHECK(!stopped_) << "Checkpoint after Stop";
-  for (auto& shard : shards_) {
-    EngineCommand cmd;
-    cmd.kind = EngineCommand::Kind::kCheckpoint;
-    shard->Push(std::move(cmd));
-  }
-}
-
 void Engine::Abort() {
   if (stopped_) return;
   if (telemetry_thread_.joinable()) {

@@ -132,11 +132,6 @@ class Engine {
   /// dead one's directory.
   Status RecoverDir(const std::string& dir);
 
-  /// Asks every shard to checkpoint + compact each resident instance at
-  /// its next quiescent turn (wal_dir engines; otherwise a no-op). Returns
-  /// immediately — checkpoints land as the shards reach quiescence.
-  void Checkpoint();
-
   /// Simulated kill −9 for crash testing: worker threads exit at their
   /// next turn boundary without finishing residents, flushing group-commit
   /// buffers, or reporting results; in-flight instances stay unreported.

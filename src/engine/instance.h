@@ -61,10 +61,9 @@ struct InstanceResult {
 /// A command in a shard's MPSC mailbox.
 struct EngineCommand {
   enum class Kind {
-    kRun,         // start a fresh instance of the engine's workflow
-    kRecover,     // rebuild an instance from a serialized EventLog, then close
-    kCheckpoint,  // checkpoint every resident instance at its next quiescence
-    kStop,        // finish resident instances, then exit the worker thread
+    kRun,      // start a fresh instance of the engine's workflow
+    kRecover,  // rebuild an instance from a serialized EventLog, then close
+    kStop,     // finish resident instances, then exit the worker thread
   };
   Kind kind = Kind::kRun;
   uint64_t id = 0;

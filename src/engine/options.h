@@ -40,14 +40,9 @@ struct EngineOptions {
   /// RecoverDir. Completed instances' files are removed — their sealed log
   /// lives in the InstanceResult.
   std::string wal_dir;
-  /// Checkpoint + compact an instance's on-disk log once its record suffix
-  /// reaches this many records (at the instance's next quiescent turn).
-  /// 0 = only on explicit Checkpoint(). Needs wal_dir.
-  size_t checkpoint_every = 0;
   /// Group commit: WAL appends buffer across a shard's residents and hit
   /// the filesystem once this many lines accumulate (or at a barrier —
-  /// checkpoint, instance completion, shard idle, stop). 1 = write-through
-  /// on every record. Needs wal_dir.
+  /// shard idle, stop). 1 = write-through on every record. Needs wal_dir.
   size_t group_commit_records = 1;
   /// Construct paused: submissions queue but no shard consumes until
   /// Resume(). Deterministic admission tests; bench preloading.

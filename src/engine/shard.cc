@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/strings.h"
-#include "runtime/checkpoint.h"
 #include "runtime/event_log.h"
 
 namespace cdes::engine {
@@ -98,7 +97,6 @@ void Shard::ThreadMain() {
     wal_records_ = metrics_.counter("engine.wal.records");
     wal_group_commits_ = metrics_.counter("engine.wal.group_commits");
     wal_errors_ = metrics_.counter("engine.wal.errors");
-    checkpoints_ = metrics_.counter("engine.checkpoints");
   }
 
   bool stopping = false;
@@ -126,12 +124,6 @@ void Shard::ThreadMain() {
         if (cmd.kind == EngineCommand::Kind::kStop) {
           stopping = true;
           break;
-        }
-        if (cmd.kind == EngineCommand::Kind::kCheckpoint) {
-          // Checkpoints happen at quiescent turns; mark every resident so
-          // each takes one at its next opportunity.
-          for (auto& r : active_) r->force_checkpoint = true;
-          continue;
         }
         lock.unlock();  // world construction happens outside the mailbox
         active_.push_back(AdmitInstance(std::move(cmd)));
@@ -240,7 +232,7 @@ std::unique_ptr<Shard::Resident> Shard::AdmitInstance(EngineCommand cmd) {
       r->phase != Resident::Phase::kDone) {
     // The WAL file exists from the first moment the instance might write
     // records; on recovery it is rebuilt as the recovered image (the old
-    // file may have had a torn tail or belong to a pre-compaction state).
+    // file may have had a torn tail).
     Status created =
         wal_->Create(r->id, r->log->SerializeOpen(*ctx_->alphabet()));
     if (!created.ok()) FailWal(*r, StrCat("wal: ", created.ToString()));
@@ -255,10 +247,7 @@ bool Shard::StepInstance(Resident& r) {
     SyncWal(r);  // records the batch just produced, on group-commit terms
     if (r.sim.pending() > 0) return false;  // yield; more next turn
   }
-  // The instance world is quiescent — the only cut where a checkpoint is
-  // consistent (no announcement is in flight between actors).
-  MaybeCheckpoint(r);
-  // Advance the script state machine.
+  // The instance world is quiescent: advance the script state machine.
   switch (r.phase) {
     case Resident::Phase::kScript: {
       if (r.pos < r.script.attempts.size()) {
@@ -335,44 +324,6 @@ void Shard::FailWal(Resident& r, const std::string& error) {
   wal_errors_->Increment();
   if (r.result.error.empty()) r.result.error = error;
   r.phase = Resident::Phase::kDone;
-}
-
-void Shard::MaybeCheckpoint(Resident& r) {
-  if (wal_ == nullptr || r.log == nullptr || r.sched == nullptr) return;
-  if (r.phase == Resident::Phase::kDone || !r.result.error.empty()) return;
-  bool due = r.force_checkpoint ||
-             (options_.checkpoint_every > 0 &&
-              r.log->records().size() >= options_.checkpoint_every);
-  r.force_checkpoint = false;
-  if (!due || r.log->records().empty()) return;
-  // Phase 1 — durable checkpoint: covered records first, then the section
-  // appended behind them, flushed as one barrier. A crash after this
-  // leaves prefix + checkpoint in the file; recovery takes the checkpoint
-  // (last intact one wins) and the prefix is dead weight.
-  SyncWal(r);
-  EventLog::CheckpointSection section;
-  section.covered = r.log->total_records();
-  section.last_stamp = r.log->last_stamp();
-  section.payload =
-      SerializeCheckpoint(r.sched->Snapshot(), *ctx_->alphabet());
-  wal_->Append(r.id, EventLog::SectionText(section));
-  if (Status flushed = wal_->Flush(r.id); !flushed.ok()) {
-    wal_errors_->Increment();
-    return;  // no compaction without a durable checkpoint
-  }
-  // Phase 2 — compact: install in memory, then atomically rewrite the file
-  // as header + checkpoint + empty suffix. rename(2) makes the rewrite
-  // all-or-nothing; a crash between the phases is exactly the state
-  // phase 1 made durable.
-  r.log->InstallCheckpoint(std::move(section));
-  r.wal_seen = 0;
-  if (Status rewrote =
-          wal_->Rewrite(r.id, r.log->SerializeOpen(*ctx_->alphabet()));
-      !rewrote.ok()) {
-    wal_errors_->Increment();
-    return;  // in-memory state is still coherent; the file keeps phase 1
-  }
-  checkpoints_->Increment();
 }
 
 void Shard::Finish(Resident& r) {

@@ -92,11 +92,8 @@ class Shard {
     enum class Phase { kScript, kClosing, kDone } phase = Phase::kScript;
     size_t close_rounds = 0;
     /// Log records already pushed to the WAL buffer (index into
-    /// log->records(); resets to 0 when a checkpoint clears the suffix).
+    /// log->records()).
     size_t wal_seen = 0;
-    /// Checkpoint at the next quiescent turn regardless of policy
-    /// (Engine::Checkpoint / kCheckpoint command).
-    bool force_checkpoint = false;
     Simulator sim;
     std::unique_ptr<Network> net;
     std::unique_ptr<EventLog> log;
@@ -123,13 +120,6 @@ class Shard {
   /// instance's error (the first one wins). The instance then finishes at
   /// its next quiescent turn: its on-disk log no longer matches its run.
   void FailWal(Resident& r, const std::string& error);
-  /// At quiescence: checkpoint + compact the instance's log and WAL file
-  /// when the policy (or a forced checkpoint) says so. Two durable phases:
-  /// (1) covered records + checkpoint section appended and flushed — a
-  /// crash after this recovers from the checkpoint even though the prefix
-  /// is still in the file; (2) atomic rewrite of the file as header +
-  /// checkpoint + empty suffix.
-  void MaybeCheckpoint(Resident& r);
   uint64_t NowUs() const;
 
   const EngineSpecRef spec_;
@@ -145,13 +135,12 @@ class Shard {
   std::unique_ptr<ShardWal> wal_;
   obs::MetricsRegistry metrics_;
   /// Handles into metrics_, resolved once in ThreadMain. The engine.wal.*
-  /// and engine.checkpoints counters exist only on shards with a WAL.
+  /// counters exist only on shards with a WAL.
   obs::Gauge* residuation_cache_hits_ = nullptr;
   obs::Gauge* residuation_cache_misses_ = nullptr;
   obs::Counter* wal_records_ = nullptr;
   obs::Counter* wal_group_commits_ = nullptr;
   obs::Counter* wal_errors_ = nullptr;
-  obs::Counter* checkpoints_ = nullptr;
   /// Resident instances, in admission order. Declared after everything a
   /// resident points into, so an aborted shard's leftovers are destroyed
   /// first.

@@ -13,6 +13,11 @@
 namespace cdes::engine {
 namespace {
 
+/// Lines in `text`: each is one durable record for group-commit accounting.
+size_t Lines(const std::string& text) {
+  return static_cast<size_t>(std::count(text.begin(), text.end(), '\n'));
+}
+
 Status WriteWhole(const std::string& path, const std::string& content) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) {
@@ -38,56 +43,9 @@ std::string ShardWal::PathFor(uint64_t id) const {
 }
 
 Status ShardWal::Create(uint64_t id, const std::string& content) {
-  buffers_.erase(id);
-  return Rewrite(id, content);
-}
-
-void ShardWal::Append(uint64_t id, const std::string& text) {
-  buffers_[id] += text;
-  // Count lines, not calls: a checkpoint section appends several lines at
-  // once and each is one durable record for group-commit accounting.
-  pending_appends_ += static_cast<size_t>(
-      std::count(text.begin(), text.end(), '\n'));
-}
-
-Status ShardWal::Flush(uint64_t id) {
-  auto it = buffers_.find(id);
-  if (it == buffers_.end() || it->second.empty()) return Status::OK();
-  std::FILE* f = std::fopen(PathFor(id).c_str(), "ab");
-  if (f == nullptr) {
-    return Status::Internal(
-        StrCat("cannot open '", PathFor(id), "' for append"));
-  }
-  size_t written = std::fwrite(it->second.data(), 1, it->second.size(), f);
-  int closed = std::fclose(f);
-  if (written != it->second.size() || closed != 0) {
-    return Status::Internal(StrCat("short append to '", PathFor(id), "'"));
-  }
-  // Conservative: a partially flushed buffer would double lines on retry,
-  // so the count drops only after the whole buffer landed.
-  pending_appends_ -= std::count(it->second.begin(), it->second.end(), '\n');
-  buffers_.erase(it);
-  return Status::OK();
-}
-
-Status ShardWal::FlushAll(std::vector<uint64_t>* failed) {
-  // Collect ids first: Flush erases its buffer entry.
-  std::vector<uint64_t> ids;
-  ids.reserve(buffers_.size());
-  for (const auto& [id, text] : buffers_) ids.push_back(id);
-  Status first;
-  for (uint64_t id : ids) {
-    Status s = Flush(id);
-    if (s.ok()) continue;
-    if (failed != nullptr) failed->push_back(id);
-    if (first.ok()) first = std::move(s);
-  }
-  return first;
-}
-
-Status ShardWal::Rewrite(uint64_t id, const std::string& content) {
   // tmp + rename: the visible file is always a complete image. A crash
   // before the rename leaves the old file intact; after it, the new one.
+  Discard(id);
   std::string path = PathFor(id);
   std::string tmp = StrCat(path, ".tmp");
   Status s = WriteWhole(tmp, content);
@@ -95,22 +53,55 @@ Status ShardWal::Rewrite(uint64_t id, const std::string& content) {
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     return Status::Internal(StrCat("cannot rename '", tmp, "'"));
   }
-  auto it = buffers_.find(id);
-  if (it != buffers_.end()) {
-    pending_appends_ -=
-        std::count(it->second.begin(), it->second.end(), '\n');
-    buffers_.erase(it);
+  return Status::OK();
+}
+
+void ShardWal::Append(uint64_t id, const std::string& text) {
+  buffers_[id] += text;
+  pending_appends_ += Lines(text);  // lines, not calls
+}
+
+Status ShardWal::Flush(uint64_t id, const std::string& text) {
+  std::FILE* f = std::fopen(PathFor(id).c_str(), "ab");
+  if (f == nullptr) {
+    return Status::Internal(
+        StrCat("cannot open '", PathFor(id), "' for append"));
+  }
+  size_t written = std::fwrite(text.data(), 1, text.size(), f);
+  int closed = std::fclose(f);
+  if (written != text.size() || closed != 0) {
+    return Status::Internal(StrCat("short append to '", PathFor(id), "'"));
   }
   return Status::OK();
 }
 
-Status ShardWal::Remove(uint64_t id) {
-  auto it = buffers_.find(id);
-  if (it != buffers_.end()) {
-    pending_appends_ -=
-        std::count(it->second.begin(), it->second.end(), '\n');
-    buffers_.erase(it);
+Status ShardWal::FlushAll(std::vector<uint64_t>* failed) {
+  Status first;
+  for (auto it = buffers_.begin(); it != buffers_.end();) {
+    Status s = it->second.empty() ? Status::OK() : Flush(it->first, it->second);
+    if (s.ok()) {
+      // Conservative: a partially flushed buffer would double lines on
+      // retry, so the count drops only after the whole buffer landed.
+      pending_appends_ -= Lines(it->second);
+      it = buffers_.erase(it);
+      continue;
+    }
+    if (failed != nullptr) failed->push_back(it->first);
+    if (first.ok()) first = std::move(s);
+    ++it;
   }
+  return first;
+}
+
+void ShardWal::Discard(uint64_t id) {
+  auto it = buffers_.find(id);
+  if (it == buffers_.end()) return;
+  pending_appends_ -= Lines(it->second);
+  buffers_.erase(it);
+}
+
+Status ShardWal::Remove(uint64_t id) {
+  Discard(id);
   std::error_code ec;
   std::filesystem::remove(PathFor(id), ec);  // false, no error: absent
   if (ec) {

@@ -15,8 +15,8 @@ struct WalOptions {
   std::string dir;
   /// Group commit: buffered appends (across all resident instances of the
   /// shard) are written out once this many have accumulated, or at a
-  /// barrier (checkpoint, instance completion, shard idle/stop) — whichever
-  /// comes first. 1 = write through on every append.
+  /// barrier (shard idle/stop) — whichever comes first. 1 = write through
+  /// on every append.
   size_t group_commit_records = 1;
 };
 
@@ -28,12 +28,12 @@ struct WalOptions {
 /// v3 log format absorbs (EventLog::LoadTolerant drops a torn final line;
 /// fully flushed lines carry their own checksums).
 ///
-/// Writing discipline:
-///  - Create / Rewrite produce a complete file via tmp + atomic rename, so
-///    a file is never half-initialized and compaction (rewriting a log as
-///    header + checkpoint) can never be caught half-done — rename(2) either
-///    happened or it did not.
-///  - Append + Flush add complete lines at the end of an existing file
+/// A file only ever grows by records: an instance logs each event at most
+/// once (Definition 1), so its file is bounded by the alphabet and is never
+/// compacted. Writing discipline:
+///  - Create produces a complete file via tmp + atomic rename, so a file is
+///    never half-initialized — rename(2) either happened or it did not.
+///  - Append + FlushAll add complete lines at the end of an existing file
 ///    (open-append-close; no descriptors held across calls), so a crash
 ///    tears at most the final line.
 ///
@@ -49,7 +49,8 @@ class ShardWal {
   /// `<dir>/<id>.log`.
   std::string PathFor(uint64_t id) const;
 
-  /// Atomically creates (or replaces) the instance's file with `content`.
+  /// Atomically creates (or replaces) the instance's file with `content`,
+  /// discarding any buffered appends for it.
   Status Create(uint64_t id, const std::string& content);
 
   /// Buffers `text` (one or more complete lines) for the instance's file.
@@ -58,18 +59,12 @@ class ShardWal {
   /// Whether the group-commit policy calls for a flush now.
   bool ShouldFlush() const { return pending_appends_ >= options_.group_commit_records; }
 
-  /// Writes one instance's buffered appends to its file. On failure the
-  /// buffer is kept, so a later flush retries it whole.
-  Status Flush(uint64_t id);
   /// Writes every instance's buffered appends out (group commit /
   /// barrier). A failing instance does not stop the others: every buffer
   /// is attempted, the ids whose flush failed are appended to `*failed`
-  /// (when non-null), and the first failure is returned.
+  /// (when non-null), and the first failure is returned. A failed buffer
+  /// is kept, so a later flush retries it whole.
   Status FlushAll(std::vector<uint64_t>* failed = nullptr);
-
-  /// Atomically replaces the instance's file with `content`, discarding any
-  /// buffered appends for it (they are part of `content` already).
-  Status Rewrite(uint64_t id, const std::string& content);
 
   /// Drops the instance's file and buffers (instance completed; its sealed
   /// log lives in the InstanceResult). An absent file is not an error.
@@ -79,6 +74,11 @@ class ShardWal {
   size_t pending_appends() const { return pending_appends_; }
 
  private:
+  /// Writes one buffer to the end of its instance's file.
+  Status Flush(uint64_t id, const std::string& text);
+  /// Forgets the instance's buffered appends.
+  void Discard(uint64_t id);
+
   const WalOptions options_;
   /// instance id → concatenated buffered append text.
   std::map<uint64_t, std::string> buffers_;

@@ -7,7 +7,6 @@
 namespace cdes {
 namespace {
 
-constexpr char kHeaderV2[] = "cdeslog v2";
 constexpr char kHeaderV3[] = "cdeslog v3";
 constexpr char kTrailerPrefix[] = "checksum ";
 constexpr char kSectionPrefix[] = "ckpt ";
@@ -72,6 +71,17 @@ void AppendSection(std::string* out,
 }
 
 bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+
+/// The instance id of a `cdeslog v3 <instance>` header line (no newline).
+Result<uint64_t> ParseHeader(std::string_view line) {
+  std::vector<std::string> fields = StrSplit(line, ' ');
+  uint64_t instance = 0;
+  if (fields.size() != 3 || StrCat(fields[0], " ", fields[1]) != kHeaderV3 ||
+      !ParseU64(fields[2], &instance)) {
+    return Status::InvalidArgument("not a cdes event log");
+  }
+  return instance;
+}
 
 }  // namespace
 
@@ -150,15 +160,7 @@ Result<uint64_t> EventLog::PeekInstance(std::string_view text) {
   if (eol == std::string_view::npos) {
     return Status::InvalidArgument("event log header torn (no newline)");
   }
-  std::vector<std::string> fields = StrSplit(text.substr(0, eol), ' ');
-  uint64_t instance = 0;
-  if (fields.size() != 3 ||
-      (StrCat(fields[0], " ", fields[1]) != kHeaderV2 &&
-       StrCat(fields[0], " ", fields[1]) != kHeaderV3) ||
-      !ParseU64(fields[2], &instance)) {
-    return Status::InvalidArgument("not a cdes event log");
-  }
-  return instance;
+  return ParseHeader(text.substr(0, eol));
 }
 
 Result<EventLog> EventLog::LoadTolerant(const Alphabet& alphabet,
@@ -184,14 +186,8 @@ Result<EventLog> EventLog::Parse(const Alphabet& alphabet,
     return Status::InvalidArgument("event log header torn (no newline)");
   }
 
-  std::vector<std::string> header = StrSplit(lines.front(), ' ');
-  uint64_t instance = 0;
-  if (header.size() != 3 ||
-      (StrCat(header[0], " ", header[1]) != kHeaderV2 &&
-       StrCat(header[0], " ", header[1]) != kHeaderV3) ||
-      !ParseU64(header[2], &instance)) {
-    return Status::InvalidArgument("not a cdes event log");
-  }
+  Result<uint64_t> instance = ParseHeader(lines.front());
+  if (!instance.ok()) return instance.status();
 
   // Strip the trailer when present and intact. A crashed writer either
   // never started it (absent) or was killed mid-line (a `checksum ` line
@@ -220,7 +216,7 @@ Result<EventLog> EventLog::Parse(const Alphabet& alphabet,
   const bool tail_open = tolerant && !has_trailer && !torn_trailer;
 
   EventLog log;
-  log.set_instance(instance);
+  log.set_instance(instance.value());
   OccurrenceStamp prev_stamp;
   bool have_prev = false;
   for (size_t i = 1; i < lines.size(); ++i) {

@@ -40,10 +40,9 @@ namespace cdes {
 /// schema); once one is durable, the record prefix it covers can be
 /// truncated and recovery replays only the suffix. The *last* intact
 /// checkpoint wins: records preceding it in the file are the ones it
-/// covers and are discarded on parse, which is what makes the two-phase
-/// "append checkpoint, then compact-rewrite" crash-safe — a file caught
-/// between the phases (prefix + checkpoint + nothing truncated yet) parses
-/// to exactly the same state as the compacted file.
+/// covers and are discarded on parse, so a file holding the prefix and the
+/// checkpoint behind it parses to exactly the same state as the compacted
+/// file.
 ///
 /// Every record line carries its own FNV checksum, so a log cut off
 /// mid-append (a crash between the write and the flush of the final line)
@@ -51,7 +50,6 @@ namespace cdes {
 /// (or a checkpoint section torn at end-of-file, which the preceding
 /// not-yet-truncated records cover) instead of failing the whole recovery,
 /// while the strict `Deserialize` continues to reject any damage anywhere.
-/// v2 logs (no checkpoint sections) parse unchanged.
 class EventLog {
  public:
   struct Record {
@@ -117,13 +115,13 @@ class EventLog {
   /// the trailer — the shape a crashed writer's WAL file has on disk.
   std::string SerializeOpen(const Alphabet& alphabet) const;
 
-  // ---- Line builders (shared with the engine's group-commit WAL, so an
-  // ---- appended file is byte-identical to SerializeOpen of its log) ----
+  // ---- Line builders (RecordLine is shared with the engine's group-commit
+  // ---- WAL, so an appended file is byte-identical to SerializeOpen) ----
   static std::string HeaderLine(uint64_t instance);
   static std::string RecordLine(const Record& record, const Alphabet& alphabet);
   static std::string SectionText(const CheckpointSection& section);
 
-  /// Strictly parses a serialized log (v2 or v3). Literal names must
+  /// Strictly parses a serialized v3 log. Literal names must
   /// already be interned in `alphabet` (recovery re-parses the workflow
   /// spec first). Fails on format errors, unknown events, any checksum
   /// mismatch, decreasing stamps, or a missing/mismatching trailer.

@@ -211,6 +211,34 @@ TEST(EventLogV3Test, OverflowingHeaderIdRejected) {
   EXPECT_EQ(max.value(), UINT64_MAX);
 }
 
+TEST(EventLogV3Test, V2HeaderRejected) {
+  // No writer produces the checkpoint-less v2 format, so a v2 header is
+  // refused like any foreign file, by the router peek and by both parsers
+  // — even when the body is a well-formed log.
+  Alphabet alphabet;
+  alphabet.Intern("e");
+  EventLog log;
+  log.set_instance(7);
+  log.Append({OccurrenceStamp{5, 0}, EventLiteral::Positive(0)});
+  std::string v3 = log.Serialize(alphabet);
+  ASSERT_EQ(v3.rfind("cdeslog v3 7\n", 0), 0u);
+  std::string body = "cdeslog v2 7\n" + v3.substr(v3.find('\n') + 1);
+  for (const std::string& text : {std::string("cdeslog v2 7\n"), body}) {
+    auto peek = EventLog::PeekInstance(text);
+    ASSERT_FALSE(peek.ok());
+    EXPECT_EQ(peek.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(peek.status().message(), "not a cdes event log");
+    auto strict = EventLog::Deserialize(alphabet, text);
+    ASSERT_FALSE(strict.ok());
+    EXPECT_EQ(strict.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(strict.status().message(), "not a cdes event log");
+    auto tolerant = EventLog::LoadTolerant(alphabet, text);
+    ASSERT_FALSE(tolerant.ok());
+    EXPECT_EQ(tolerant.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(tolerant.status().message(), "not a cdes event log");
+  }
+}
+
 TEST(EventLogV3Test, TornTrailerDropsNothing) {
   // A trailer line torn mid-write ("checksum 1a") proves every record
   // line above it was already flushed: tolerant load keeps them all and

@@ -19,6 +19,8 @@
 
 #include "engine/engine.h"
 #include "obs/json.h"
+#include "runtime/checkpoint.h"
+#include "runtime/event_log.h"
 
 namespace cdes::engine {
 namespace {
@@ -518,44 +520,33 @@ TEST(EngineTest, RecoverRejectsDuplicateInstanceIds) {
 }
 
 TEST(EngineTest, CheckpointedLogRecoversLikeGenesisLog) {
-  // The same instance run twice: once with plain durable logs (genesis
-  // replay on recovery) and once with an aggressive checkpoint policy
-  // (restore + empty suffix). Recovery must land both on the same maximal
-  // history.
+  // The engine itself never checkpoints: an instance logs each event at
+  // most once, so its log is bounded by the alphabet. Recovery still reads
+  // v3 checkpoint sections (logs written through the runtime API, or by an
+  // older engine), so the checkpointed twin of an engine log is built here
+  // through that API, and both must recover to the same maximal history.
   const std::string dir = ::testing::TempDir() + "cdes_ckpt_engine";
   std::filesystem::remove_all(dir);
-  auto run_phase1 = [&](bool checkpointed) {
+  EngineSpecRef spec = TravelSpec();
+  std::string genesis_log;
+  {
     EngineOptions opts;
     opts.shards = 1;
-    if (checkpointed) {
-      opts.wal_dir = dir;
-      opts.checkpoint_every = 1;  // compact at every quiescent turn
-    } else {
-      opts.durable_logs = true;
-    }
-    Engine eng(TravelSpec(), opts);
+    opts.wal_dir = dir;  // implies durable_logs
+    opts.group_commit_records = 2;
+    Engine eng(spec, opts);
     InstanceScript script;
     script.attempts = {"s_buy", "c_book"};
     script.close = false;
-    CDES_CHECK(eng.Submit(std::move(script)).ok());
+    ASSERT_TRUE(eng.Submit(std::move(script)).ok());
     eng.Drain();
     eng.Stop();
     auto results = eng.TakeResults();
-    CDES_CHECK(results.size() == 1);
-    CDES_CHECK(results[0].error.empty()) << results[0].error;
-    if (checkpointed) {
-      // The policy actually fired and the sealed log carries a section.
-      auto it = eng.shard_metrics(0).counters().find("engine.checkpoints");
-      CDES_CHECK(it != eng.shard_metrics(0).counters().end());
-      CDES_CHECK(it->second->value() > 0);
-      CDES_CHECK(results[0].log_text.find("ckpt ") != std::string::npos);
-    } else {
-      CDES_CHECK(results[0].log_text.find("ckpt ") == std::string::npos);
-    }
-    return results[0].log_text;
-  };
-  std::string genesis_log = run_phase1(false);
-  std::string checkpointed_log = run_phase1(true);
+    ASSERT_EQ(results.size(), 1u);
+    ASSERT_TRUE(results[0].error.empty()) << results[0].error;
+    genesis_log = results[0].log_text;
+  }
+  EXPECT_EQ(genesis_log.find("ckpt "), std::string::npos) << genesis_log;
   // Completed instances retire their WAL files; the sealed log is the
   // durable record.
   size_t leftover = 0;
@@ -565,10 +556,34 @@ TEST(EngineTest, CheckpointedLogRecoversLikeGenesisLog) {
   }
   EXPECT_EQ(leftover, 0u);
 
+  // LoadTolerant → Recover → Snapshot → SerializeCheckpoint →
+  // InstallCheckpoint → Serialize, in a standalone world of the same spec.
+  std::string checkpointed_log;
+  {
+    WorkflowContext ctx;
+    auto workflow = spec->Materialize(&ctx);
+    ASSERT_TRUE(workflow.ok()) << workflow.status();
+    Simulator sim;
+    Network net(&sim, spec->site_count(), NetworkOptions{});
+    GuardScheduler sched(&ctx, workflow.value(), &net);
+    auto log = EventLog::LoadTolerant(*ctx.alphabet(), genesis_log);
+    ASSERT_TRUE(log.ok()) << log.status();
+    ASSERT_GT(log.value().total_records(), 0u);
+    ASSERT_TRUE(sched.Recover(log.value()).ok());
+    EventLog::CheckpointSection section;
+    section.covered = log.value().total_records();
+    section.last_stamp = log.value().last_stamp();
+    section.payload = SerializeCheckpoint(sched.Snapshot(), *ctx.alphabet());
+    log.value().InstallCheckpoint(std::move(section));
+    checkpointed_log = log.value().Serialize(*ctx.alphabet());
+  }
+  ASSERT_NE(checkpointed_log.find("ckpt "), std::string::npos);
+
   auto recover = [&](const std::string& log_text) {
     EngineOptions opts;
     opts.shards = 1;
-    Engine eng(TravelSpec(), opts);
+    opts.durable_logs = true;
+    Engine eng(spec, opts);
     CDES_CHECK(eng.Recover({log_text}).ok());
     eng.Drain();
     auto results = eng.TakeResults();
@@ -576,15 +591,20 @@ TEST(EngineTest, CheckpointedLogRecoversLikeGenesisLog) {
     CDES_CHECK(results[0].error.empty()) << results[0].error;
     CDES_CHECK(results[0].maximal);
     CDES_CHECK(results[0].consistent);
-    return results[0].history;
+    return results[0];
   };
-  EXPECT_EQ(recover(checkpointed_log), recover(genesis_log));
+  InstanceResult from_genesis = recover(genesis_log);
+  InstanceResult from_checkpoint = recover(checkpointed_log);
+  EXPECT_EQ(from_checkpoint.history, from_genesis.history);
+  // A recovery from genesis stays checkpoint-free: the engine only carries
+  // forward a section it was handed.
+  EXPECT_EQ(from_genesis.log_text.find("ckpt "), std::string::npos);
   std::filesystem::remove_all(dir);
 }
 
 TEST(EngineTest, WalDirAbortThenRecoverDir) {
-  // Crash smoke: run a wal_dir engine with group commit and a checkpoint
-  // policy, kill it mid-flight (Abort), and point a fresh engine at the
+  // Crash smoke: run a wal_dir engine with group commit, kill it
+  // mid-flight (Abort), and point a fresh engine at the
   // directory. Every instance recovered from disk must be one the dead
   // engine never reported, and must close to a consistent maximal trace.
   const std::string dir = ::testing::TempDir() + "cdes_wal_abort";
@@ -595,7 +615,6 @@ TEST(EngineTest, WalDirAbortThenRecoverDir) {
     EngineOptions opts;
     opts.shards = 2;
     opts.wal_dir = dir;
-    opts.checkpoint_every = 2;
     opts.group_commit_records = 3;
     Engine eng(TravelSpec(), opts);
     for (size_t i = 0; i < kInstances; ++i) {
